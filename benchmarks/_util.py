@@ -1,8 +1,9 @@
 """Shared helpers for the experiment benchmarks.
 
-Each benchmark regenerates one experiment from DESIGN.md's index (the
-paper has no empirical tables, so the experiments instantiate its
-quantitative theorems and Section 1.1.4 corollaries).  Tables are
+Each benchmark regenerates one numbered experiment, named in its module
+docstring (the paper has no empirical tables, so the experiments
+instantiate its quantitative theorems and Section 1.1.4 corollaries;
+the README's "Paper mapping" section maps them to the paper).  Tables are
 printed (visible with ``pytest -s``) *and* written to
 ``benchmarks/results/<experiment>.txt`` so the artifacts survive capture.
 """

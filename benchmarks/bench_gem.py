@@ -1,9 +1,9 @@
 """E10 — Theorem 3.5: the Generalized Exponential Mechanism's selection.
 
 Measures err(Δ̂) against min_Δ err(Δ) over many runs (the theorem bounds
-the ratio by O(ln(ln Δmax / β)) with probability 1 − β) and runs the
-ablation called out in DESIGN.md: GEM vs the plain exponential
-mechanism on raw scores vs a fixed Δ = Δmax policy.  GEM's advantage
+the ratio by O(ln(ln Δmax / β)) with probability 1 − β) and runs an
+ablation of the selection step: GEM vs the plain exponential mechanism
+on raw scores vs a fixed Δ = Δmax policy.  GEM's advantage
 appears exactly when the optimal Δ is far below Δmax.
 """
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.core.algorithm import PrivateSpanningForestSize
-from repro.core.extension import SpanningForestExtension
+from repro.core.extension import extension_for
 from repro.graphs.components import spanning_forest_size
 from repro.graphs.generators import random_forest, star_plus_isolated
 from repro.mechanisms.exponential import exponential_mechanism
@@ -29,7 +29,7 @@ _RUNS = 150
 
 
 def _q_table(graph, epsilon_noise):
-    extension = SpanningForestExtension(graph)
+    extension = extension_for(graph)
     candidates = power_of_two_grid(graph.number_of_vertices())
     return candidates, {
         c: extension.gap(c) + c / epsilon_noise for c in candidates
@@ -97,7 +97,7 @@ def _run_ablation(rng):
 
     # Plain EM ablation: scores q_i with a common worst-case sensitivity
     # Δmax (what the un-generalized mechanism must assume).
-    extension = SpanningForestExtension(graph)
+    extension = extension_for(graph)
     candidates = power_of_two_grid(graph.number_of_vertices())
     q = {c: extension.gap(c) + 2 * c / epsilon for c in candidates}
     plain_errors = []

@@ -1,8 +1,9 @@
 """E11 — Lemma 3.3(2): polynomial-time evaluability of f_Δ.
 
 Uses pytest-benchmark's actual timing machinery (several rounds) to
-measure the evaluator across sizes, solver methods, and the fast-path
-ablation called out in DESIGN.md.
+measure the evaluator across sizes, the three LP solvers of
+:mod:`repro.lp.forest_core`, and the fast-path ablation (the extension's
+integral shortcuts vs forcing every component through the LP).
 """
 
 from __future__ import annotations
@@ -10,46 +11,104 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.core.extension import evaluate_lipschitz_extension, extension_for
+from repro.graphs.compact import CompactGraph, as_compact
 from repro.graphs.generators import erdos_renyi, grid_graph, random_geometric_graph
-from repro.lp.forest_lp import forest_polytope_value
+from repro.lp import forest_core
 
 from ._util import emit_table, reset_results
+
+_SOLVERS = {
+    "auto": lambda n, u, v: forest_core.solve_component(
+        n, u, v, 2, max_rounds=200, use_fast_paths=False
+    ),
+    "cutting_plane": lambda n, u, v: forest_core.cutting_plane_component(
+        n, u, v, 2, 1e-7, 200, strict=True
+    ),
+    "column_generation": lambda n, u, v: forest_core.column_generation_component(
+        n, u, v, 2
+    ),
+}
+
+
+def _components(graph):
+    """Canonical ``(n, u, v)`` arrays of each edge-bearing component."""
+    compact = as_compact(graph)
+    labels = compact.component_labels()
+    u, v = compact.edge_arrays()
+    for root in np.unique(labels[u]).tolist():
+        verts = np.nonzero(labels == root)[0]
+        inside = labels[u] == root
+        yield (
+            int(verts.size),
+            np.searchsorted(verts, u[inside]),
+            np.searchsorted(verts, v[inside]),
+        )
+
+
+def _repair_successes() -> float:
+    return telemetry.counter_value(
+        telemetry.snapshot(), "repro_extension_repairs_total", outcome="success"
+    )
 
 
 @pytest.mark.parametrize("n", [30, 60, 120])
 def test_er_scaling(benchmark, n):
     """Evaluation time vs n on sparse ER graphs (Δ = 2)."""
     graph = erdos_renyi(n, 2.0 / n, np.random.default_rng(n))
-    result = benchmark(lambda: forest_polytope_value(graph, 2))
-    assert result.value >= 0
+    value = benchmark(lambda: evaluate_lipschitz_extension(graph, 2))
+    assert value >= 0
 
 
-@pytest.mark.parametrize("method", ["auto", "cutting_plane", "column_generation"])
+@pytest.mark.parametrize("method", sorted(_SOLVERS))
 def test_method_comparison(benchmark, method):
     """The three solvers on one moderate instance (they agree; timing
     differs)."""
     graph = erdos_renyi(24, 0.12, np.random.default_rng(3))
+    solve = _SOLVERS[method]
     value = benchmark(
-        lambda: forest_polytope_value(
-            graph, 2, method=method, use_fast_paths=False, max_rounds=200
-        ).value
+        lambda: sum(
+            min(max(solve(n, u, v).value, 0.0), n - 1.0)
+            for n, u, v in _components(graph)
+        )
     )
-    reference = forest_polytope_value(graph, 2, method="auto").value
+    reference = evaluate_lipschitz_extension(graph, 2)
     assert value == pytest.approx(reference, abs=1e-4)
 
 
 def test_fast_path_ablation(benchmark):
     """Fast paths vs forced LP on a grid where repair certifies Δ = 3."""
     graph = grid_graph(8, 8)
+    value = benchmark(lambda: extension_for(graph, max_rounds=60).value(3))
+    before = _repair_successes()
+    assert extension_for(graph, max_rounds=60).value(3) == value
+    # The single component is certified by one Algorithm-3 repair.
+    assert _repair_successes() == before + 1
+    slow = extension_for(graph, use_fast_paths=False, max_rounds=60).value(3)
+    assert slow == pytest.approx(value, abs=1e-4)
 
-    def both():
-        fast = forest_polytope_value(graph, 3, use_fast_paths=True)
-        return fast
 
-    result = benchmark(both)
-    assert result.fast_path_components == 1
-    slow = forest_polytope_value(graph, 3, use_fast_paths=False)
-    assert slow.value == pytest.approx(result.value, abs=1e-4)
+def _summary(graph, delta):
+    """``f_Δ`` with its certified gap, LP rounds and component statuses:
+    a component is settled by the integral fast paths (Δ ≥ max degree or
+    an Algorithm-3 spanning ⌊Δ⌋-forest) or else by the LP core."""
+    value, gap, rounds, statuses = 0.0, 0.0, 0, []
+    for n, u, v in _components(graph):
+        component = CompactGraph.from_edge_arrays(n, u, v)
+        if (
+            delta >= component.max_degree()
+            or component.repair_spanning_forest(int(delta)).forest is not None
+        ):
+            value += n - 1
+            statuses.append("fast-path")
+            continue
+        core = forest_core.solve_component(n, u, v, delta)
+        value += core.value
+        gap += core.gap
+        rounds += core.lp_rounds
+        statuses.append(core.status)
+    return value, gap, rounds, ",".join(statuses)
 
 
 def test_geometric_summary_table(benchmark, rng):
@@ -61,11 +120,8 @@ def test_geometric_summary_table(benchmark, rng):
     def run():
         rows = []
         for delta in (1, 2, 4, 8, 16):
-            result = forest_polytope_value(graph, delta)
-            rows.append(
-                [delta, result.value, result.gap, result.lp_rounds,
-                 result.status[:40]]
-            )
+            value, gap, rounds, status = _summary(graph, delta)
+            rows.append([delta, value, gap, rounds, status[:40]])
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -5,7 +5,7 @@ private spanning-forest estimate errs by at most ``Δ*·Õ(ln ln n / ε)``.
 We sweep structured families whose Δ* we control, several ε, and report
 measured error quantiles next to the explicit Theorem 1.3 reference
 curve.  A budget-split ablation (GEM vs. noise fraction) covers the
-design choice called out in DESIGN.md.
+paper's even ε_select = ε_noise split (Algorithm 1, Step 3).
 """
 
 from __future__ import annotations

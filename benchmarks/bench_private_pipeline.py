@@ -1,19 +1,16 @@
-"""E10 — Compact-native private pipeline: end-to-end release speedup.
+"""E10 — Compact-native private pipeline: end-to-end release.
 
-Acceptance benchmark for the PR-3 tentpole: running the full Algorithm-1
-pipeline (``PrivateConnectedComponents`` — GEM over the whole Δ-grid,
-Lipschitz-extension evaluation, Laplace release) on an
-``erdos_renyi_compact`` input at ``n = 10^5`` must be at least 5× faster
-than the same release on the object-graph representation, release
-*bit-identical* values for the same seed, and perform **zero**
-compact→object coercions (hard-guarded via
-:func:`repro.graphs.compact.forbid_object_coercion`).
+Runs the full Algorithm-1 pipeline (``PrivateConnectedComponents`` — GEM
+over the whole Δ-grid, Lipschitz-extension evaluation, Laplace release)
+on an ``erdos_renyi_compact`` input at ``n = 10^5`` and checks that it
+performs **zero** compact→object coercions (hard-guarded via
+:func:`repro.graphs.compact.forbid_object_coercion`), and that the same
+release on the object-graph copy of the input — which is converted to a
+``CompactGraph`` once and then runs the same code — is *bit-identical*
+for the same seed.
 
 The sparse regime ``np = c`` with ``c < 1`` matches the paper's
-``Õ(log n / ε)`` analysis and keeps every component small enough that
-both paths evaluate the same exact LP values; the measured advantage
-(typically two orders of magnitude) comes from the shared vectorized
-component pass versus the object path's per-component dictionary walks.
+``Õ(log n / ε)`` analysis and keeps every component small.
 """
 
 from __future__ import annotations
@@ -34,12 +31,6 @@ _N = int(os.environ.get("REPRO_BENCH_PIPELINE_N", "100000"))
 _C = 0.35
 _EPSILON = 1.0
 _RELEASE_SEED = 20230413
-# Local acceptance bar is 5x (measured ~100-300x on an idle machine); CI
-# sets REPRO_BENCH_MIN_PIPELINE_SPEEDUP lower because shared runners add
-# wall-clock jitter that should not fail unrelated merges.
-_REQUIRED_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_PIPELINE_SPEEDUP", "5.0")
-)
 
 
 def _timed(fn):
@@ -56,8 +47,8 @@ def _run_experiment(rng):
 
     # Compact-native release: hard-guarded against any object coercion.
     # The shared LP-core memo is cleared before each leg so both runs
-    # are genuinely cold — neither representation may ride on component
-    # solves populated by the other.
+    # are genuinely cold — neither input may ride on component solves
+    # populated by the other.
     clear_solve_cache()
     coercions_before = object_coercion_count()
     with forbid_object_coercion():
@@ -71,10 +62,8 @@ def _run_experiment(rng):
     )
 
     clear_solve_cache()
-    object_time, object_release = _timed(
-        lambda: PrivateConnectedComponents(epsilon=_EPSILON).release(
-            reference, np.random.default_rng(_RELEASE_SEED)
-        )
+    object_release = PrivateConnectedComponents(epsilon=_EPSILON).release(
+        reference, np.random.default_rng(_RELEASE_SEED)
     )
 
     # Differential agreement at scale: same seed, same released floats.
@@ -87,42 +76,25 @@ def _run_experiment(rng):
         == object_release.spanning_forest.delta_hat
     )
 
-    speedup = object_time / compact_time
     rows = [
         [
             _N,
             compact.number_of_edges(),
             compact_release.true_value,
             f"{compact_release.value:.2f}",
-            object_time,
+            generate_time,
             compact_time,
-            speedup,
         ]
     ]
     emit_table(
         "E10",
-        ["n", "m", "f_cc", "release", "object s", "compact s", "speedup"],
+        ["n", "m", "f_cc", "release", "generate s", "release s"],
         rows,
-        f"G(n, {_C:g}/n) end-to-end PrivateConnectedComponents: object vs "
-        f"compact-native pipeline (required speedup >= {_REQUIRED_SPEEDUP:g}x)",
-    )
-    emit_table(
-        "E10",
-        ["stage", "seconds"],
-        [
-            [f"compact generate n={_N}", generate_time],
-            ["compact release (cold extension)", compact_time],
-            ["object release (cold extension)", object_time],
-        ],
-        "supporting stage timings",
-    )
-
-    assert speedup >= _REQUIRED_SPEEDUP, (
-        f"compact pipeline speedup {speedup:.1f}x below the "
-        f"{_REQUIRED_SPEEDUP:g}x acceptance bar"
+        f"G(n, {_C:g}/n) end-to-end PrivateConnectedComponents on the "
+        "compact-native pipeline (cold extension)",
     )
     return rows
 
 
-def test_private_pipeline_speedup(benchmark, rng):
+def test_private_pipeline(benchmark, rng):
     benchmark.pedantic(_run_experiment, args=(rng,), rounds=1, iterations=1)

@@ -73,7 +73,7 @@ from .graphs import (
 __version__ = "1.3.0"
 
 from .core import (
-    SpanningForestExtension,
+    extension_for,
     evaluate_lipschitz_extension,
     PrivateSpanningForestSize,
     PrivateConnectedComponents,
@@ -142,7 +142,7 @@ __all__ = [
     "star_number",
     "read_edge_list",
     "write_edge_list",
-    "SpanningForestExtension",
+    "extension_for",
     "evaluate_lipschitz_extension",
     "PrivateSpanningForestSize",
     "PrivateConnectedComponents",

@@ -75,7 +75,7 @@ import time
 
 import numpy as np
 
-from . import kernels, telemetry
+from . import telemetry
 from .core.algorithm import PrivateConnectedComponents
 from .data import DatasetError
 from .estimators import create, get_spec, registry_specs
@@ -694,9 +694,9 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 f"({memo_hits:.0f}/{memo_total:.0f})",
                 file=sys.stderr,
             )
-        # Storage/kernel backends in play: the parent's own counters
-        # (it loads the default graph) merged with the worker registries
-        # in the parallel case.
+        # Storage backends in play: the parent's own counters (it loads
+        # the default graph) merged with the worker registries in the
+        # parallel case.
         snap = telemetry.snapshot()
         if args.workers > 1:
             snap = telemetry.merge_snapshots([snap, result.metrics])
@@ -707,8 +707,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             snap, "repro_graph_loads_total", backend="ram"
         )
         print(
-            f"kernel backend: {kernels.kernel_backend()}; graph loads: "
-            f"{memmap_loads:.0f} memmap, {ram_loads:.0f} ram",
+            f"graph loads: {memmap_loads:.0f} memmap, {ram_loads:.0f} ram",
             file=sys.stderr,
         )
         # Dataset-registry activity (requests naming dataset:<name>

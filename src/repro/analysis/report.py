@@ -27,7 +27,8 @@ class ExperimentReport:
     Parameters
     ----------
     experiment_id:
-        Identifier matching DESIGN.md's experiment index (e.g. ``"E2"``).
+        Experiment identifier (e.g. ``"E2"``), as used by the benchmark
+        tables under ``benchmarks/`` (README, "Tests and benchmarks").
     description:
         One-line description of what the experiment reproduces.
     seed:

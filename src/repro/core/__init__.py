@@ -2,7 +2,6 @@
 
 from .extension import (
     CompactSpanningForestExtension,
-    SpanningForestExtension,
     evaluate_lipschitz_extension,
     extension_for,
 )
@@ -45,7 +44,6 @@ from .baselines import (
 )
 
 __all__ = [
-    "SpanningForestExtension",
     "CompactSpanningForestExtension",
     "extension_for",
     "evaluate_lipschitz_extension",

@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .. import telemetry
-from ..graphs.components import spanning_forest_size
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.gem import (
     GEMResult,
@@ -146,7 +145,8 @@ class PrivateSpanningForestSize:
         Upper end of the candidate grid.  ``None`` uses ``n`` (the
         paper's choice; treats the graph size as public).
     use_fast_paths, separation_tolerance, max_rounds:
-        LP evaluation controls (see :mod:`repro.lp.forest_lp`).
+        LP evaluation controls (see
+        :func:`repro.lp.forest_core.solve_component`).
     """
 
     epsilon: float
@@ -157,6 +157,9 @@ class PrivateSpanningForestSize:
     separation_tolerance: float = 1e-7
     max_rounds: int = 60
     _cached_extension: Optional[object] = field(
+        init=False, repr=False, default=None, compare=False
+    )
+    _cached_graph: Optional[object] = field(
         init=False, repr=False, default=None, compare=False
     )
 
@@ -173,24 +176,23 @@ class PrivateSpanningForestSize:
     def _extension_for(self, graph):
         """Return a (cached) extension family bound to ``graph``.
 
-        Object graphs get :class:`~repro.core.extension.SpanningForestExtension`;
-        :class:`~repro.graphs.compact.CompactGraph` inputs get the
-        compact-native front end — no object-graph round trip anywhere.
-        The extension values ``f_Δ(G)`` are deterministic, so repeated
-        releases on the *same graph object* reuse one evaluation cache.
-        Graphs are treated as immutable once released against.
+        :func:`~repro.core.extension.extension_for` converts an object
+        graph to a :class:`~repro.graphs.compact.CompactGraph` once; the
+        cache is keyed on the caller's graph object, so repeated releases
+        on the *same graph object* reuse one conversion and one
+        evaluation cache.  Graphs are treated as immutable once released
+        against.
         """
-        cached = self._cached_extension
-        if cached is not None and cached.graph is graph:
-            return cached
-        extension = extension_for(
+        if self._cached_graph is graph:
+            return self._cached_extension
+        self._cached_extension = extension_for(
             graph,
             use_fast_paths=self.use_fast_paths,
             separation_tolerance=self.separation_tolerance,
             max_rounds=self.max_rounds,
         )
-        self._cached_extension = extension
-        return extension
+        self._cached_graph = graph
+        return self._cached_extension
 
     def release(
         self,
@@ -201,8 +203,9 @@ class PrivateSpanningForestSize:
     ) -> SpanningForestRelease:
         """Run Algorithm 1 once and return the release with diagnostics.
 
-        Accepts either graph representation natively; compact inputs run
-        the whole pipeline on the array kernels.
+        Accepts either graph representation; an object graph is
+        converted to a compact one once and the whole pipeline runs on
+        the array kernels.
 
         ``extension`` optionally injects an already-warm extension family
         bound to ``graph`` (same content) — the amortization hook used by
@@ -323,11 +326,11 @@ class PrivateConnectedComponents:
     ) -> ConnectedComponentsRelease:
         """Release a private estimate of ``f_cc(G)``.
 
-        Accepts either a :class:`~repro.graphs.graph.Graph` or a
-        :class:`~repro.graphs.compact.CompactGraph`; compact inputs stay
-        on the array kernels end to end.  ``extension`` optionally
-        injects a warm extension family for the spanning-forest step
-        (see :meth:`PrivateSpanningForestSize.release`).
+        Accepts either a :class:`~repro.graphs.graph.Graph` (converted
+        once) or a :class:`~repro.graphs.compact.CompactGraph`; the
+        release runs on the array kernels end to end.  ``extension``
+        optionally injects a warm extension family for the
+        spanning-forest step (see :meth:`PrivateSpanningForestSize.release`).
         """
         n = graph.number_of_vertices()
         if n == 0:
@@ -341,7 +344,7 @@ class PrivateConnectedComponents:
         sf_release = self._sf_estimator.release(graph, rng, extension=extension)
         for label, amount in sf_release.ledger:
             accountant.spend(amount, label)
-        true_fcc = n - spanning_forest_size(graph)
+        true_fcc = n - sf_release.true_value
         return ConnectedComponentsRelease(
             value=n_hat - sf_release.value,
             vertex_count_estimate=n_hat,

@@ -1,22 +1,19 @@
 """The Lipschitz-extension family ``{f_Δ}`` for the spanning-forest size.
 
 Implements Algorithm 2 (``EvalLipschitzExtension``) for a whole family
-of Δ values, as Algorithm 1 / Algorithm 4 require, in two front ends
-that share one component-wise evaluation engine:
+of Δ values, as Algorithm 1 / Algorithm 4 require.
+:class:`CompactSpanningForestExtension` is bound to an array-backed
+:class:`~repro.graphs.compact.CompactGraph`: the component split, degree
+scan and exactness test are vectorized kernel work shared across every Δ
+in the candidate grid, with **zero object-graph coercion** anywhere on
+the path.  Each remaining component goes through Algorithm-3 repair at
+⌊Δ⌋ (with monotone memoization) and then the int-native LP core of
+:mod:`repro.lp.forest_core`.
 
-* :class:`SpanningForestExtension` — bound to a reference object
-  :class:`~repro.graphs.graph.Graph`;
-* :class:`CompactSpanningForestExtension` — bound to an array-backed
-  :class:`~repro.graphs.compact.CompactGraph`, with the component
-  split, degree scan and exactness test done as vectorized kernel work
-  shared across every Δ in the candidate grid, and **zero object-graph
-  coercion** anywhere on the path.
-
-Both front ends take identical per-component decisions (max-degree
-check, Algorithm-3 repair at ⌊Δ⌋ with monotone memoization, then the
-shared int-native LP core of :mod:`repro.lp.forest_core`), so for
-int-indexed graphs the two produce bit-identical values — the property
-the compact-vs-reference differential tests pin.
+An object :class:`~repro.graphs.graph.Graph` is converted once by
+:func:`extension_for` (via :func:`~repro.graphs.compact.as_compact`), so
+``CompactGraph`` → :mod:`repro.lp.forest_core` → :mod:`repro.kernels`
+is the only path from a graph to ``f_Δ``.
 
 Lemma 3.3 properties (all verified by the test suite):
 
@@ -34,22 +31,15 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..graphs.compact import CompactGraph, component_fingerprint
-from ..graphs.components import connected_components, spanning_forest_size
+from ..graphs.compact import CompactGraph, as_compact, component_fingerprint
 from ..graphs.graph import Graph
 from ..lp.forest_core import (
     EXACT_THRESHOLD,
     batched_tree_values,
     solve_component,
 )
-from ..lp.forest_lp import (
-    ForestLPResult,
-    canonical_component_arrays,
-    forest_polytope_value,
-)
 
 __all__ = [
-    "SpanningForestExtension",
     "CompactSpanningForestExtension",
     "extension_for",
     "evaluate_lipschitz_extension",
@@ -82,29 +72,29 @@ def _multi_slice(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndar
     return np.arange(total, dtype=np.int64) + np.repeat(shifts, lengths)
 
 
-def evaluate_lipschitz_extension(graph: Graph, delta: float, **lp_options) -> float:
+def evaluate_lipschitz_extension(
+    graph: Graph | CompactGraph, delta: float, **lp_options
+) -> float:
     """Algorithm 2: return ``f_Δ(G)`` for a single Δ.
 
-    Convenience wrapper; use :class:`SpanningForestExtension` when
-    evaluating several Δ on the same graph (it caches).
+    Convenience wrapper with a cutting-plane cap of 60 rounds unless
+    ``lp_options`` says otherwise; use :func:`extension_for` when
+    evaluating several Δ on the same graph (the extension caches).
     """
-    return forest_polytope_value(graph, delta, **lp_options).value
+    lp_options.setdefault("max_rounds", 60)
+    return extension_for(graph, **lp_options).value(delta)
 
 
 class _ComponentwiseExtension:
-    """Shared engine: per-component evaluation with monotone memoization.
+    """Evaluation engine: per-component evaluation with monotone memoization.
 
-    Subclasses populate, in :meth:`_prepare` (idempotent, lazy):
-
-    * ``self._sizes`` / ``self._maxdeg`` — int64 arrays over the
-      edge-bearing components;
-
-    and implement ``_component_arrays(i) -> (n, u, v)`` — the canonical
-    local index arrays handed to the shared LP core.  Algorithm-3 repair
-    runs on a :class:`CompactGraph` built from those same arrays for
-    *both* front ends, so the success/failure decision (and hence every
-    released value) is identical by construction regardless of the input
-    representation.
+    :class:`CompactSpanningForestExtension` supplies the graph-specific
+    part: ``_prepare()`` (idempotent, lazy) installs the per-component
+    tables through :meth:`_finish_prepare`, ``_component_arrays(i) ->
+    (n, u, v)`` returns the canonical local index arrays handed to the
+    LP core (Algorithm-3 repair runs on a :class:`CompactGraph` built
+    from those same arrays), and ``_batch_local_arrays(batch)`` gathers
+    a batch of tree components for the vectorized DP.
 
     Per-component bookkeeping exploits monotonicity: a spanning
     ⌊Δ⌋-forest certifies exactness for every Δ' ≥ ⌊Δ⌋ (``_exact_from``),
@@ -150,7 +140,7 @@ class _ComponentwiseExtension:
         self._prepared = False
         self._sizes = np.zeros(0, dtype=np.int64)
         self._maxdeg = np.zeros(0, dtype=np.int64)
-        self._edge_counts: Optional[np.ndarray] = None
+        self._edge_counts = np.zeros(0, dtype=np.int64)
         self._exact_from: np.ndarray = np.zeros(0)
         self._repair_failed: dict[int, set[int]] = {}
         self._lp_cache: dict[int, dict[float, float]] = {}
@@ -159,30 +149,17 @@ class _ComponentwiseExtension:
         self._component_fps: Optional[list[str]] = None
         self._true_fsf = 0
 
-    # -- subclass interface -------------------------------------------------
-    def _prepare(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _finish_prepare(self, sizes, maxdeg, edge_counts) -> None:
+        """Install the per-component tables (called by ``_prepare``).
 
-    def _component_arrays(
-        self, i: int
-    ) -> tuple[int, np.ndarray, np.ndarray]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _finish_prepare(self, sizes, maxdeg, edge_counts=None) -> None:
-        """Install the per-component tables (called by subclasses).
-
-        ``edge_counts`` (edges per component, engine order) enables the
+        ``edge_counts`` (edges per component, engine order) drives the
         batched tree pass; the per-component memos start empty — they
         are dicts keyed by component index, populated only for the
         components that actually reach the repair/LP machinery.
         """
         self._sizes = np.asarray(sizes, dtype=np.int64)
         self._maxdeg = np.asarray(maxdeg, dtype=np.int64)
-        self._edge_counts = (
-            None
-            if edge_counts is None
-            else np.asarray(edge_counts, dtype=np.int64)
-        )
+        self._edge_counts = np.asarray(edge_counts, dtype=np.int64)
         self._exact_from = np.full(self._sizes.size, np.inf)
         self._repair_failed = {}
         self._lp_cache = {}
@@ -200,11 +177,7 @@ class _ComponentwiseExtension:
         return cached
 
     def _attempt_repair(self, i: int, floor_delta: int) -> bool:
-        """Algorithm 3 at cap ``floor_delta`` on the canonical component.
-
-        Runs on the local-index compact kernel for both front ends so the
-        decision is representation-independent.
-        """
+        """Algorithm 3 at cap ``floor_delta`` on the canonical component."""
         with telemetry.span("extension.repair", component=i, cap=floor_delta):
             repaired = (
                 self._component_graph(i)
@@ -273,7 +246,6 @@ class _ComponentwiseExtension:
         if not (
             self._batched_certificates
             and self._use_fast_paths
-            and self._edge_counts is not None
             and key >= 1.0
             and float(key).is_integer()
         ):
@@ -332,28 +304,6 @@ class _ComponentwiseExtension:
         out = np.empty(chunk.size)
         out[component] = root_values
         return out
-
-    def _batch_local_arrays(
-        self, batch: np.ndarray
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate the components in ``batch`` into one local forest.
-
-        Returns ``(nloc, u, v, offsets)`` where component ``batch[k]``
-        occupies the local vertices ``offsets[k]..offsets[k+1]-1``.
-        Subclasses with a vectorized component split override this; the
-        generic fallback stacks the canonical per-component arrays.
-        """
-        arrays = [self._component_arrays(int(i)) for i in batch.tolist()]
-        counts = np.array([a[0] for a in arrays], dtype=np.int64)
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        lu = np.concatenate(
-            [a[1] + off for a, off in zip(arrays, offsets[:-1].tolist())]
-        )
-        lv = np.concatenate(
-            [a[2] + off for a, off in zip(arrays, offsets[:-1].tolist())]
-        )
-        return int(offsets[-1]), lu, lv, offsets
 
     def values_for_grid(self, candidates: Sequence[float]) -> np.ndarray:
         """Evaluate ``f_Δ`` for a whole candidate grid in one pass.
@@ -534,106 +484,6 @@ class _ComponentwiseExtension:
         return core.value
 
 
-class SpanningForestExtension(_ComponentwiseExtension):
-    """The family ``{f_Δ}_{Δ > 0}`` bound to one object graph, with caching.
-
-    Parameters
-    ----------
-    graph:
-        The input graph ``G``.  The object keeps a reference; callers
-        must not mutate ``G`` afterwards (values are cached per Δ).
-    use_fast_paths:
-        Forwarded to the LP evaluator (see
-        :func:`repro.lp.forest_lp.forest_polytope_value`).
-    separation_tolerance, max_rounds:
-        LP evaluation controls, forwarded likewise.
-
-    Examples
-    --------
-    >>> from repro.graphs.generators import star_graph
-    >>> ext = SpanningForestExtension(star_graph(4))
-    >>> ext.value(4)  # a spanning 4-forest exists: exact
-    4.0
-    >>> ext.value(1) <= ext.value(2) <= ext.value(4)  # monotone in delta
-    True
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        use_fast_paths: bool = True,
-        batched_certificates: bool = True,
-        separation_tolerance: float = 1e-7,
-        max_rounds: int = 200,
-        exact_threshold: int = EXACT_THRESHOLD,
-        cg_max_iterations: int = 120,
-        assume_half_integral: bool = True,
-    ) -> None:
-        super().__init__(
-            use_fast_paths=use_fast_paths,
-            batched_certificates=batched_certificates,
-            separation_tolerance=separation_tolerance,
-            max_rounds=max_rounds,
-            exact_threshold=exact_threshold,
-            cg_max_iterations=cg_max_iterations,
-            assume_half_integral=assume_half_integral,
-        )
-        self._graph = graph
-        self._true_fsf = spanning_forest_size(graph)
-        self._components: list[Graph] = []
-        self._arrays: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
-        self._result_cache: dict[float, ForestLPResult] = {}
-
-    @property
-    def graph(self) -> Graph:
-        """The bound input graph."""
-        return self._graph
-
-    def _prepare(self) -> None:
-        sizes: list[int] = []
-        maxdeg: list[int] = []
-        edge_counts: list[int] = []
-        for members in connected_components(self._graph):
-            sub = self._graph.induced_subgraph(members)
-            if sub.number_of_edges() == 0:
-                continue
-            self._components.append(sub)
-            sizes.append(sub.number_of_vertices())
-            maxdeg.append(sub.max_degree())
-            edge_counts.append(sub.number_of_edges())
-        self._arrays = [None] * len(self._components)
-        self._finish_prepare(sizes, maxdeg, edge_counts)
-
-    def _component_arrays(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-        cached = self._arrays[i]
-        if cached is None:
-            component = self._components[i]
-            _, u, v = canonical_component_arrays(component)
-            cached = (component.number_of_vertices(), u, v)
-            self._arrays[i] = cached
-        return cached
-
-    def result(self, delta: float) -> ForestLPResult:
-        """Full LP result for ``f_Δ(G)`` (cached per Δ).
-
-        Diagnostic companion to :meth:`value`: re-evaluates through
-        :func:`forest_polytope_value` to materialize a feasible point
-        ``x``; the scalar value may differ from :meth:`value` by solver
-        round-off on components resolved by different strategies.
-        """
-        key = float(delta)
-        if key not in self._result_cache:
-            self._result_cache[key] = forest_polytope_value(
-                self._graph,
-                key,
-                use_fast_paths=self._use_fast_paths,
-                separation_tolerance=self._separation_tolerance,
-                max_rounds=self._max_rounds,
-            )
-        return self._result_cache[key]
-
-
 class CompactSpanningForestExtension(_ComponentwiseExtension):
     """``{f_Δ}`` bound to a :class:`CompactGraph` — the fast pipeline.
 
@@ -646,29 +496,25 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     shared monotonically across candidates, and only the (typically few)
     stubborn components reach the LP core.  No object :class:`Graph` is
     ever materialized.
+
+    Keyword options are the engine's controls: ``use_fast_paths`` and
+    ``batched_certificates`` toggle the integral shortcuts, and
+    ``separation_tolerance``, ``max_rounds``, ``exact_threshold``,
+    ``cg_max_iterations`` and ``assume_half_integral`` are forwarded to
+    :func:`repro.lp.forest_core.solve_component`.
+
+    Examples
+    --------
+    >>> from repro.graphs.generators import star_graph
+    >>> ext = extension_for(star_graph(4))
+    >>> ext.value(4)  # a spanning 4-forest exists: exact
+    4.0
+    >>> ext.value(1) <= ext.value(2) <= ext.value(4)  # monotone in delta
+    True
     """
 
-    def __init__(
-        self,
-        graph: CompactGraph,
-        *,
-        use_fast_paths: bool = True,
-        batched_certificates: bool = True,
-        separation_tolerance: float = 1e-7,
-        max_rounds: int = 200,
-        exact_threshold: int = EXACT_THRESHOLD,
-        cg_max_iterations: int = 120,
-        assume_half_integral: bool = True,
-    ) -> None:
-        super().__init__(
-            use_fast_paths=use_fast_paths,
-            batched_certificates=batched_certificates,
-            separation_tolerance=separation_tolerance,
-            max_rounds=max_rounds,
-            exact_threshold=exact_threshold,
-            cg_max_iterations=cg_max_iterations,
-            assume_half_integral=assume_half_integral,
-        )
+    def __init__(self, graph: CompactGraph, **options) -> None:
+        super().__init__(**options)
         self._graph = graph
         self._true_fsf = graph.spanning_forest_size()
         # Lazy canonical per-component arrays, keyed by component index;
@@ -747,11 +593,13 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     def _batch_local_arrays(
         self, batch: np.ndarray
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized multi-component gather from the prepared arrays.
+        """Concatenate the components in ``batch`` into one local forest.
 
-        Renumbers the batch's vertices into one dense local range with a
-        reusable O(n) scatter buffer — no per-component Python work, so
-        a million-tree batch is a handful of array ops.
+        Returns ``(nloc, u, v, offsets)`` where component ``batch[k]``
+        occupies the local vertices ``offsets[k]..offsets[k+1]-1``.  The
+        batch's vertices are renumbered into one dense local range with
+        a reusable O(n) scatter buffer — no per-component Python work,
+        so a million-tree batch is a handful of array ops.
         """
         vg = self._vg[batch]
         vlo = self._vstarts[vg]
@@ -772,8 +620,12 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         return nloc, local[self._eu[edge_index]], local[self._ev[edge_index]], offsets
 
 
-def extension_for(graph, **options):
-    """Build the extension front end matching the graph representation."""
-    if isinstance(graph, CompactGraph):
-        return CompactSpanningForestExtension(graph, **options)
-    return SpanningForestExtension(graph, **options)
+def extension_for(graph, **options) -> CompactSpanningForestExtension:
+    """Build the extension family for ``graph``.
+
+    A :class:`CompactGraph` is bound as is; an object
+    :class:`~repro.graphs.graph.Graph` is converted once with
+    :func:`~repro.graphs.compact.as_compact` (vertex index = insertion
+    order), so the extension's ``graph`` is the converted copy.
+    """
+    return CompactSpanningForestExtension(as_compact(graph), **options)

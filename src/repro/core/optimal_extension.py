@@ -43,7 +43,7 @@ from scipy.optimize import linprog
 from ..graphs.components import spanning_forest_size
 from ..graphs.distance import all_vertex_subsets
 from ..graphs.graph import Graph
-from ..lp.forest_lp import forest_polytope_value
+from .extension import evaluate_lipschitz_extension
 
 __all__ = [
     "extension_linf_error",
@@ -65,9 +65,7 @@ def extension_linf_error(
     small graphs).  A custom ``extension(graph, delta)`` may be supplied,
     e.g. the generic ``b̂f_Δ``; the default is the paper's LP extension.
     """
-    evaluate = extension or (
-        lambda h, d: forest_polytope_value(h, d).value
-    )
+    evaluate = extension or evaluate_lipschitz_extension
     worst = 0.0
     for subset in all_vertex_subsets(graph):
         sub = graph.induced_subgraph(subset)

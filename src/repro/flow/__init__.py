@@ -1,16 +1,5 @@
-"""Max-flow substrate and the forest-polytope separation oracle."""
+"""Max-flow substrate of the forest-polytope separation oracle."""
 
 from .maxflow import FlowNetwork, INFINITY
-from .separation import (
-    find_violated_forest_sets,
-    most_violated_set_with_pin,
-    constraint_violation,
-)
 
-__all__ = [
-    "FlowNetwork",
-    "INFINITY",
-    "find_violated_forest_sets",
-    "most_violated_set_with_pin",
-    "constraint_violation",
-]
+__all__ = ["FlowNetwork", "INFINITY"]

@@ -699,12 +699,9 @@ class CompactGraph:
         """Return an array mapping each vertex index to its component's
         minimum vertex index (the canonical component id).
 
-        Routed through :mod:`repro.kernels`: the default numpy backend
-        is a vectorized hook-and-compress union-find (Shiloach–Vishkin
-        style, O(log n) rounds of O(n + m) array ops); ``REPRO_KERNEL=
-        numba`` swaps in a compiled sequential union-find.  The labeling
-        is canonical (minimum vertex index per component), so every
-        backend returns the identical array.
+        Computed by :func:`repro.kernels.connected_component_labels`, a
+        vectorized hook-and-compress union-find (Shiloach–Vishkin style,
+        O(log n) rounds of O(n + m) array ops); cached on the graph.
         """
         if self._component_labels is not None:
             return self._component_labels

@@ -1,23 +1,15 @@
 """Linear-programming substrate: the Δ-bounded forest polytope LP."""
 
-from .forest_lp import (
+from .forest_core import (
     EXACT_THRESHOLD,
+    CoreLPResult,
     ForestLPError,
-    ForestLPResult,
-    forest_polytope_value,
-    forest_lp_component,
-)
-from .column_generation import (
-    ColumnGenerationResult,
-    forest_value_column_generation,
+    solve_component,
 )
 
 __all__ = [
     "EXACT_THRESHOLD",
+    "CoreLPResult",
     "ForestLPError",
-    "ForestLPResult",
-    "forest_polytope_value",
-    "forest_lp_component",
-    "ColumnGenerationResult",
-    "forest_value_column_generation",
+    "solve_component",
 ]

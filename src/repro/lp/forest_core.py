@@ -1,17 +1,25 @@
 """Int-native evaluation core for the Δ-bounded forest LP.
 
+Definition 3.1 of the paper: ``f_Δ(G) = max x(E)`` over vectors
+``x ∈ R^E`` with
+
+    x(e) ≥ 0                for every edge e,
+    x(E[S]) ≤ |S| − 1       for every S ⊆ V with |S| ≥ 2,
+    x(δ(v)) ≤ Δ             for every vertex v.
+
 Every evaluator in this module operates on a *canonical component*: a
 connected graph given as ``(n, u, v)`` where vertices are the local
 integers ``0..n-1`` and ``u``/``v`` are parallel int64 endpoint arrays
-(``u < v`` elementwise, sorted lexicographically).  Both front ends —
-the reference object-graph path (:mod:`repro.lp.forest_lp`) and the
-compact pipeline (:class:`repro.core.extension.CompactSpanningForestExtension`)
-— canonicalize their components to this form and call
-:func:`solve_component`, so the two paths produce *bit-identical*
-``f_Δ`` values by construction: same arrays in, same solver calls, same
-floats out.
+(``u < v`` elementwise, sorted lexicographically).
+:class:`repro.core.extension.CompactSpanningForestExtension` — the only
+caller on the release path — canonicalizes each component it cannot
+settle by the integral fast paths to this form and calls
+:func:`solve_component`; same arrays in, same solver calls, same floats
+out.  ``f_Δ`` is additive across components, and the optimum can be
+fractional (a triangle with Δ = 1 has ``f_1 = 3/2``), so values are
+never rounded to integers.
 
-Evaluators (mirroring the ``auto`` strategy of ``forest_lp``):
+Evaluators:
 
 * a **tree fast path**: on a tree (``m = n − 1``) with integral Δ the
   degree-constraint matrix is the incidence matrix of a bipartite graph,
@@ -21,14 +29,18 @@ Evaluators (mirroring the ``auto`` strategy of ``forest_lp``):
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
-  separation oracle on packed-int networks;
+  separation oracle (:func:`violated_forest_sets`) on packed-int
+  :class:`~repro.flow.maxflow.FlowNetwork` networks;
 * stabilized **column generation** (Dantzig–Wolfe over explicit
   forests, Kruskal pricing with an array union-find) providing the
   feasible lower bound and a Lagrangian upper bound.
 
 The combined ``auto`` logic — fast tree DP, exhaustive below
 :data:`EXACT_THRESHOLD`, certified sandwich above it with optional
-half-integral snapping — lives in :func:`solve_component`.
+half-integral snapping — lives in :func:`solve_component`.  Snapping
+assumes the optimum is half-integral (true of every instance the test
+suite solves exactly); with ``assume_half_integral=False`` the
+certified ``gap`` is reported instead.
 """
 
 from __future__ import annotations
@@ -223,7 +235,7 @@ def _solve_component_uncached(
         use_fast_paths
         and m == n - 1
         and float(delta).is_integer()
-        and _is_forest(n, u, v)
+        and kernels.is_forest(n, u, v)
     ):
         return tree_component_value(n, u, v, int(delta))
     if n <= exact_threshold:
@@ -273,11 +285,6 @@ def _unique_half_integer(lower: float, upper: float) -> Optional[float]:
         if second > upper + eps:
             return float(first)
     return None
-
-
-def _is_forest(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """True when the edge arrays are acyclic (cheap union-find sweep)."""
-    return kernels.is_forest(n, u, v)
 
 
 # ----------------------------------------------------------------------
@@ -511,9 +518,15 @@ def violated_forest_sets(
 ) -> list[frozenset[int]]:
     """Return up to ``max_sets`` vertex sets with ``x(E[S]) > |S| − 1``.
 
-    Per support component (edges with ``x > tolerance``), one pinned
-    min-cut per vertex in the edge–vertex network; node labels are packed
-    ints (``-1`` source, ``-2`` sink, ``w`` vertex, ``n + j`` edge).
+    Padberg–Wolsey reduction: for a pinned vertex ``p``,
+    ``max_{S ∋ p} [x(E[S]) − |S| + 1]`` is one min-cut in the edge–vertex
+    network (source → edge node ``e`` with capacity ``x(e)``, edge node →
+    both endpoints with capacity ∞, vertex → sink with capacity 1, or 0
+    for ``p``): the cut equals ``x(E)`` minus that maximum, and its
+    source side is the violated set.  One pinned min-cut per vertex of
+    each support component (edges with ``x > tolerance``); node labels
+    are packed ints (``-1`` source, ``-2`` sink, ``w`` vertex, ``n + j``
+    edge).
     """
     u, v = _as_edge_arrays(u, v)
     support = np.asarray(x) > tolerance
@@ -580,10 +593,10 @@ def cutting_plane_component(
 ) -> CoreLPResult:
     """Lazy-constraint loop over the canonical arrays.
 
-    Semantics match the object-path loop: oracle-certified feasibility
-    gives an exact result; a stalled objective or the round cap returns
-    ``value = 0`` with ``gap`` set to the last LP value (a pure outer
-    bound for ``auto`` to refine), or raises when ``strict``.
+    Oracle-certified feasibility gives an exact result; a stalled
+    objective or the round cap returns ``value = 0`` with ``gap`` set to
+    the last LP value (a pure outer bound for ``auto`` to refine), or
+    raises when ``strict``.
     """
     u, v = _as_edge_arrays(u, v)
     m = u.size
@@ -675,29 +688,6 @@ def _forest_constraint_matrix(
 # ----------------------------------------------------------------------
 # Column generation (Dantzig–Wolfe, Kruskal pricing, array union-find)
 # ----------------------------------------------------------------------
-def _max_weight_forest_arrays(
-    n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray
-) -> tuple[list[int], float]:
-    """Matroid-greedy maximum-weight forest (strictly positive weights).
-
-    Dispatches to the active :mod:`repro.kernels` backend; both backends
-    accumulate the float total in the identical sequential order, so the
-    result is bit-identical regardless of ``REPRO_KERNEL``.
-    """
-    return kernels.max_weight_forest(n, u, v, weights)
-
-
-def _greedy_capped_forest_arrays(
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    order: list[int],
-    caps: np.ndarray,
-) -> tuple[list[int], np.ndarray]:
-    """Greedy forest respecting per-vertex degree caps (kernel-routed)."""
-    return kernels.greedy_capped_forest(n, u, v, order, caps)
-
-
 def _seed_columns(
     n: int,
     u: np.ndarray,
@@ -724,13 +714,13 @@ def _seed_columns(
     for _ in range(12):
         order = [int(j) for j in rng.permutation(m)]
         cap1 = int(rng.integers(1, budget + 1))
-        first, degree = _greedy_capped_forest_arrays(
+        first, degree = kernels.greedy_capped_forest(
             n, u, v, order, np.full(n, cap1, dtype=np.int64)
         )
         seeds.append(first)
         residual = np.maximum(budget - degree, 0)
         order2 = [int(j) for j in rng.permutation(m)]
-        second, _ = _greedy_capped_forest_arrays(n, u, v, order2, residual)
+        second, _ = kernels.greedy_capped_forest(n, u, v, order2, residual)
         seeds.append(second)
     return seeds
 
@@ -793,7 +783,7 @@ def column_generation_component(
         improved = False
         for lam_candidate in (lam, _SMOOTHING * lam_best + (1 - _SMOOTHING) * lam):
             weights = 1.0 - lam_candidate[u] - lam_candidate[v]
-            chosen, value = _max_weight_forest_arrays(n, u, v, weights)
+            chosen, value = kernels.max_weight_forest(n, u, v, weights)
             upper = float(delta) * float(lam_candidate.sum()) + value
             if upper < best_upper:
                 best_upper = upper
@@ -807,11 +797,11 @@ def column_generation_component(
             budget = max(int(round(2 * delta)), 1)
             residual = np.maximum(budget - degree, 0)
             order = [int(j) for j in np.argsort(-weights, kind="stable")]
-            partner, _ = _greedy_capped_forest_arrays(n, u, v, order, residual)
+            partner, _ = kernels.greedy_capped_forest(n, u, v, order, residual)
             improved |= _add_column(partner, seen, columns)
             for _ in range(2):
                 perturbed = weights + rng.normal(scale=1e-3, size=m)
-                extra, _ = _max_weight_forest_arrays(n, u, v, perturbed)
+                extra, _ = kernels.max_weight_forest(n, u, v, perturbed)
                 improved |= _add_column(extra, seen, columns)
         gap = max(best_upper - lower, 0.0)
         if gap <= tolerance:

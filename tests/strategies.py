@@ -1,13 +1,40 @@
-"""Shared hypothesis strategies and deterministic graph corpora."""
+"""Shared hypothesis strategies, deterministic graph corpora, and the
+canonical LP arrays of a graph."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
+from repro.graphs.compact import as_compact
 from repro.graphs.graph import Graph
 from repro.graphs import generators
+
+
+def graph_arrays(graph) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, u, v)`` of the whole graph in vertex-index order: the
+    canonical component arrays of :mod:`repro.lp.forest_core` when the
+    graph is connected."""
+    compact = as_compact(graph)
+    return (compact.number_of_vertices(), *compact.edge_arrays())
+
+
+def canonical_components(graph):
+    """Yield the canonical ``(n, u, v)`` arrays of each edge-bearing
+    component, local vertex ids ascending with the global ids."""
+    compact = as_compact(graph)
+    labels = compact.component_labels()
+    u, v = compact.edge_arrays()
+    for root in np.unique(labels[u]).tolist():
+        verts = np.nonzero(labels == root)[0]
+        inside = labels[u] == root
+        yield (
+            int(verts.size),
+            np.searchsorted(verts, u[inside]),
+            np.searchsorted(verts, v[inside]),
+        )
 
 
 @st.composite

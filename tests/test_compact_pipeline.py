@@ -1,15 +1,15 @@
-"""Compact-native private pipeline: coercion guards and differential
-agreement with the reference object-graph path.
+"""Compact-native private pipeline: coercion guards and agreement
+between compact and object-graph inputs.
 
-The acceptance contract of the compact pipeline (PR 3 tentpole):
+The contract of the compact pipeline:
 
 * ``PrivateConnectedComponents``/``PrivateSpanningForestSize`` run end
   to end on a :class:`CompactGraph` with **zero** object-graph coercion
   (hard-guarded via :func:`forbid_object_coercion`);
-* for the same seed, the compact and object paths release
-  **bit-identical** values — same GEM scores, same Δ̂, same extension
-  value, same noisy release — because both canonicalize every component
-  to the same local index arrays and call the same int-native LP core.
+* an object-graph input is converted to a ``CompactGraph`` once, so for
+  the same seed the compact and object inputs release **bit-identical**
+  values — same GEM scores, same Δ̂, same extension value, same noisy
+  release — and a direct release equals a ``ReleaseSession`` release.
 """
 
 import numpy as np
@@ -21,23 +21,27 @@ from repro.core.algorithm import (
 )
 from repro.core.extension import (
     CompactSpanningForestExtension,
-    SpanningForestExtension,
     extension_for,
 )
+from repro.estimators import create
 from repro.graphs.compact import (
     CompactGraph,
     forbid_object_coercion,
     object_coercion_count,
 )
 from repro.graphs.generators import (
+    erdos_renyi,
     erdos_renyi_compact,
     grid_graph_compact,
+    planted_components,
     planted_components_compact,
     random_geometric_graph_compact,
     stochastic_block_model_compact,
     barabasi_albert_compact,
 )
+from repro.graphs.graph import Graph
 from repro.mechanisms.gem import power_of_two_grid
+from repro.service import ReleaseSession
 
 
 def _compact_workloads():
@@ -132,7 +136,7 @@ class TestCompactExtension:
     def test_value_parity_with_object_extension(self):
         compact, reference = self._graph_pair()
         ce = CompactSpanningForestExtension(compact)
-        oe = SpanningForestExtension(reference)
+        oe = extension_for(reference)
         for delta in (1, 2, 2.5, 4, 8, 32, 128):
             assert ce.value(delta) == oe.value(delta)
 
@@ -173,7 +177,9 @@ class TestCompactExtension:
         assert isinstance(
             extension_for(compact), CompactSpanningForestExtension
         )
-        assert isinstance(extension_for(reference), SpanningForestExtension)
+        converted = extension_for(reference)
+        assert isinstance(converted, CompactSpanningForestExtension)
+        assert converted.graph == compact
 
     def test_evaluated_deltas_cache(self):
         compact, _ = self._graph_pair()
@@ -187,3 +193,56 @@ class TestCompactExtension:
         compact, _ = self._graph_pair()
         with pytest.raises(ValueError, match="positive"):
             CompactSpanningForestExtension(compact).value(0)
+
+
+def _string_labelled_shuffled(n: int, c: float, seed: int) -> Graph:
+    """G(n, c/n) relabelled ``v<i>``, vertices inserted in shuffled order."""
+    base = erdos_renyi(n, c / n, np.random.default_rng(seed))
+    graph = Graph()
+    for i in np.random.default_rng(seed + 1).permutation(n).tolist():
+        graph.add_vertex(f"v{i}")
+    for a, b in base.edges():
+        graph.add_edge(f"v{a}", f"v{b}")
+    return graph
+
+
+class TestSingleConversion:
+    """An object graph is converted to a CompactGraph once, on every
+    entry point, and then runs the compact pipeline."""
+
+    @pytest.mark.parametrize("name", ["sf", "cc"])
+    def test_direct_release_equals_session_release(self, name):
+        # Insertion order differs from sorted label order, so the LP
+        # arrays depend on how the graph is numbered: numbering this
+        # instance by sorted label moves the sf release by 3.6e-15.
+        graph = _string_labelled_shuffled(20, 3.0, 13)
+        direct = create(name, epsilon=1.0).release(graph, np.random.default_rng(7))
+        served = ReleaseSession().query(name, 1.0, graph=graph, seed=7)
+        assert direct.value == served.value
+        assert direct.delta_hat == served.delta_hat
+
+    def test_repeated_releases_convert_and_prepare_once(self, monkeypatch):
+        calls = {"convert": 0, "prepare": 0}
+        from_graph = CompactGraph.from_graph
+        prepare = CompactSpanningForestExtension._prepare
+
+        def counting_from_graph(graph):
+            calls["convert"] += 1
+            return from_graph(graph)
+
+        def counting_prepare(self):
+            calls["prepare"] += 1
+            prepare(self)
+
+        monkeypatch.setattr(
+            CompactGraph, "from_graph", staticmethod(counting_from_graph)
+        )
+        monkeypatch.setattr(
+            CompactSpanningForestExtension, "_prepare", counting_prepare
+        )
+        graph = planted_components([8, 8, 8], 0.4, np.random.default_rng(3))
+        estimator = PrivateConnectedComponents(epsilon=1.0)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            estimator.release(graph, rng)
+        assert calls == {"convert": 1, "prepare": 1}

@@ -9,7 +9,8 @@ tightness of the Lipschitz constant (Remark 3.4).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.extension import SpanningForestExtension, evaluate_lipschitz_extension
+from repro.core.extension import evaluate_lipschitz_extension, extension_for
+from repro.graphs.compact import CompactGraph, as_compact
 from repro.graphs.components import spanning_forest_size
 from repro.graphs.forests import (
     has_spanning_delta_forest_exact,
@@ -24,7 +25,7 @@ _DELTAS = [1, 2, 3, 4]
 class TestLemma33OnCorpus:
     def test_underestimation(self):
         for name, g in deterministic_corpus():
-            ext = SpanningForestExtension(g)
+            ext = extension_for(g)
             for delta in _DELTAS:
                 assert ext.value(delta) <= spanning_forest_size(g) + 1e-6, (
                     name,
@@ -33,7 +34,7 @@ class TestLemma33OnCorpus:
 
     def test_monotonicity_in_delta(self):
         for name, g in deterministic_corpus():
-            ext = SpanningForestExtension(g)
+            ext = extension_for(g)
             values = [ext.value(d) for d in _DELTAS]
             for a, b in zip(values, values[1:]):
                 assert a <= b + 1e-6, name
@@ -43,7 +44,7 @@ class TestLemma33OnCorpus:
         for name, g in deterministic_corpus():
             if g.number_of_vertices() > 7:
                 continue
-            ext = SpanningForestExtension(g)
+            ext = extension_for(g)
             for delta in _DELTAS:
                 if has_spanning_delta_forest_exact(g, delta):
                     assert ext.value(delta) == pytest.approx(
@@ -55,7 +56,7 @@ class TestLemma33PropertyBased:
     @given(small_graphs(max_vertices=6), st.integers(1, 4))
     @settings(max_examples=60)
     def test_underestimation_and_monotone(self, g, delta):
-        ext = SpanningForestExtension(g)
+        ext = extension_for(g)
         value = ext.value(delta)
         assert value <= spanning_forest_size(g) + 1e-6
         assert value <= ext.value(delta + 1) + 1e-6
@@ -106,14 +107,14 @@ class TestRemark34:
 class TestExtensionObject:
     def test_caching(self):
         g = star_graph(4)
-        ext = SpanningForestExtension(g)
+        ext = extension_for(g)
         ext.value(2)
         ext.value(2)
         assert ext.evaluated_deltas() == [2.0]
 
     def test_gap_and_exactness(self):
         g = star_graph(4)
-        ext = SpanningForestExtension(g)
+        ext = extension_for(g)
         assert ext.gap(4) == pytest.approx(0.0)
         assert ext.is_exact_at(4)
         assert ext.gap(2) == pytest.approx(2.0)
@@ -121,8 +122,12 @@ class TestExtensionObject:
 
     def test_true_value(self):
         g = star_graph(3)
-        assert SpanningForestExtension(g).true_value == 3
+        assert extension_for(g).true_value == 3
 
     def test_graph_property(self):
         g = star_graph(2)
-        assert SpanningForestExtension(g).graph is g
+        compact = as_compact(g)
+        assert extension_for(compact).graph is compact
+        converted = extension_for(g).graph
+        assert isinstance(converted, CompactGraph)
+        assert converted == compact

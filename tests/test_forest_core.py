@@ -1,4 +1,4 @@
-"""Tests for the int-native forest-LP core shared by both pipelines."""
+"""Tests for the int-native forest-LP core."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,8 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.lp import forest_core
-from repro.lp.forest_lp import canonical_component_arrays, forest_polytope_value
 
-
-def _arrays(graph):
-    _, u, v = canonical_component_arrays(graph)
-    return graph.number_of_vertices(), u, v
+from .strategies import graph_arrays
 
 
 class TestTreeDP:
@@ -27,7 +23,7 @@ class TestTreeDP:
         """On trees the TU property makes the LP integral; the DP must
         equal the exhaustive LP optimum exactly."""
         tree = random_tree(n, np.random.default_rng(seed))
-        count, u, v = _arrays(tree)
+        count, u, v = graph_arrays(tree)
         dp = forest_core.tree_component_value(count, u, v, delta)
         if count <= forest_core.EXACT_THRESHOLD:
             exact = forest_core.exhaustive_component_value(count, u, v, delta)
@@ -41,7 +37,7 @@ class TestTreeDP:
         assert chosen.sum() == dp.value
 
     def test_star_clips_at_delta(self):
-        count, u, v = _arrays(star_graph(6))
+        count, u, v = graph_arrays(star_graph(6))
         for delta in range(1, 8):
             result = forest_core.tree_component_value(count, u, v, delta)
             assert result.value == pytest.approx(min(delta, 6))
@@ -49,9 +45,9 @@ class TestTreeDP:
     def test_caterpillar_known_value(self):
         # Spine of 3, 2 legs each: delta=1 yields a maximum matching.
         g = caterpillar_graph(3, 2)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         result = forest_core.tree_component_value(count, u, v, 1)
-        exact = forest_polytope_value(g, 1, use_fast_paths=False).value
+        exact = forest_core.exhaustive_component_value(count, u, v, 1).value
         assert result.value == pytest.approx(exact)
 
     def test_rejects_cyclic_input_via_driver(self):
@@ -67,16 +63,15 @@ class TestTreeDP:
 class TestSolveComponent:
     @given(n=st.integers(3, 9), delta=st.integers(1, 4))
     @settings(max_examples=30)
-    def test_complete_graph_matches_object_path(self, n, delta):
-        g = complete_graph(n)
-        count, u, v = _arrays(g)
+    def test_complete_graph_matches_exhaustive(self, n, delta):
+        count, u, v = graph_arrays(complete_graph(n))
         core = forest_core.solve_component(count, u, v, delta)
-        reference = forest_polytope_value(g, delta, use_fast_paths=False)
+        reference = forest_core.exhaustive_component_value(count, u, v, delta)
         assert core.value == pytest.approx(reference.value, abs=1e-6)
 
     def test_large_component_certified(self):
         g = complete_graph(16)  # above EXACT_THRESHOLD: sandwich path
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         core = forest_core.solve_component(count, u, v, 2)
         # f_2(K_16): a Hamiltonian path achieves n-1 = 15 with max degree 2.
         assert core.value == pytest.approx(15.0, abs=1e-5)
@@ -92,7 +87,7 @@ class TestSolveComponent:
 class TestSeparationOracle:
     def test_feasible_point_passes(self):
         g = path_graph(5)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         x = np.full(u.size, 0.5)
         assert forest_core.violated_forest_sets(count, u, v, x) == []
 
@@ -107,7 +102,7 @@ class TestSeparationOracle:
 class TestCuttingPlane:
     def test_matches_exhaustive_small(self):
         g = complete_graph(5)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         cp = forest_core.cutting_plane_component(
             count, u, v, 2, 1e-7, 60, strict=True
         )
@@ -117,7 +112,7 @@ class TestCuttingPlane:
 
     def test_strict_raises_on_tiny_round_cap(self):
         g = complete_graph(6)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         with pytest.raises(forest_core.ForestLPError, match="did not converge"):
             forest_core.cutting_plane_component(
                 count, u, v, 2, 1e-7, 1, strict=True
@@ -129,7 +124,7 @@ class TestColumnGenerationCore:
     @settings(max_examples=20)
     def test_lower_bound_and_agreement(self, n, delta):
         g = complete_graph(n)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         cg = forest_core.column_generation_component(count, u, v, delta)
         exact = forest_core.exhaustive_component_value(count, u, v, delta)
         assert cg.value <= exact.value + 1e-6
@@ -138,7 +133,7 @@ class TestColumnGenerationCore:
 
     def test_mixture_is_feasible(self):
         g = complete_graph(6)
-        count, u, v = _arrays(g)
+        count, u, v = graph_arrays(g)
         cg = forest_core.column_generation_component(count, u, v, 2)
         degrees = np.zeros(count)
         np.add.at(degrees, u, cg.x)

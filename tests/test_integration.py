@@ -19,6 +19,7 @@ from repro.core.down_sensitivity import (
     down_sensitivity_spanning_forest,
     generic_extension_spanning_forest,
 )
+from repro.core.extension import evaluate_lipschitz_extension
 from repro.core.generic_algorithm import PrivateMonotoneStatistic
 from repro.graphs.components import spanning_forest_size
 from repro.graphs.generators import (
@@ -28,7 +29,16 @@ from repro.graphs.generators import (
     star_plus_isolated,
 )
 from repro.graphs.io import parse_edge_list, format_edge_list
-from repro.lp.forest_lp import forest_polytope_value
+from repro.lp import forest_core
+
+from .strategies import canonical_components
+
+
+def _component_sum(graph, solve):
+    """Sum ``solve(n, u, v)`` results over the canonical components,
+    returning the total value and total certified gap."""
+    results = [solve(n, u, v) for n, u, v in canonical_components(graph)]
+    return sum(r.value for r in results), sum(r.gap for r in results)
 
 
 class TestExtensionImplementationsAgree:
@@ -37,13 +47,17 @@ class TestExtensionImplementationsAgree:
     @pytest.mark.parametrize("delta", [1, 2, 3])
     def test_methods_agree_on_moderate_graph(self, rng, delta):
         g = erdos_renyi(11, 0.3, rng)
-        exhaustive = forest_polytope_value(
-            g, delta, method="exhaustive", use_fast_paths=False
-        ).value
-        cutting = forest_polytope_value(
-            g, delta, method="cutting_plane", use_fast_paths=False, max_rounds=200
-        ).value
-        auto = forest_polytope_value(g, delta).value
+        exhaustive, _ = _component_sum(
+            g,
+            lambda n, u, v: forest_core.exhaustive_component_value(n, u, v, delta),
+        )
+        cutting, _ = _component_sum(
+            g,
+            lambda n, u, v: forest_core.cutting_plane_component(
+                n, u, v, delta, 1e-7, 200, strict=True
+            ),
+        )
+        auto = evaluate_lipschitz_extension(g, delta)
         assert cutting == pytest.approx(exhaustive, abs=1e-5)
         assert auto == pytest.approx(exhaustive, abs=1e-5)
 
@@ -55,7 +69,7 @@ class TestExtensionImplementationsAgree:
         above 0."""
         g = erdos_renyi(7, 0.5, rng)
         fsf = spanning_forest_size(g)
-        lp_value = forest_polytope_value(g, delta).value
+        lp_value = evaluate_lipschitz_extension(g, delta)
         generic = generic_extension_spanning_forest(g, delta)
         assert 0 <= lp_value <= fsf + 1e-6
         assert 0 <= generic <= fsf + 1e-9
@@ -143,16 +157,31 @@ class TestApproximateRegime:
         check the contract: value is a lower bound within gap of any
         exact evaluation."""
         g = erdos_renyi(30, 0.25, rng)  # one big component, > threshold
-        approx = forest_polytope_value(
-            g, 2, cg_max_iterations=3, assume_half_integral=False
+        approx, approx_gap = _component_sum(
+            g,
+            lambda n, u, v: forest_core.solve_component(
+                n, u, v, 2, cg_max_iterations=3, assume_half_integral=False
+            ),
         )
-        exact_ref = forest_polytope_value(g, 2, cg_max_iterations=400)
-        if exact_ref.gap == 0.0:
-            assert approx.value <= exact_ref.value + 1e-6
-            assert approx.value + approx.gap >= exact_ref.value - 1e-6
+        exact, exact_gap = _component_sum(
+            g,
+            lambda n, u, v: forest_core.solve_component(
+                n, u, v, 2, cg_max_iterations=400
+            ),
+        )
+        if exact_gap == 0.0:
+            assert approx <= exact + 1e-6
+            assert approx + approx_gap >= exact - 1e-6
 
     def test_snapping_agrees_with_high_effort(self, rng):
         g = erdos_renyi(26, 0.3, rng)
-        snapped = forest_polytope_value(g, 2)
-        unsnapped = forest_polytope_value(g, 2, assume_half_integral=False)
-        assert unsnapped.value <= snapped.value + unsnapped.gap + 1e-6
+        snapped, _ = _component_sum(
+            g, lambda n, u, v: forest_core.solve_component(n, u, v, 2)
+        )
+        unsnapped, unsnapped_gap = _component_sum(
+            g,
+            lambda n, u, v: forest_core.solve_component(
+                n, u, v, 2, assume_half_integral=False
+            ),
+        )
+        assert unsnapped <= snapped + unsnapped_gap + 1e-6

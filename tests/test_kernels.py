@@ -1,18 +1,20 @@
-"""Tests for the batched/vectorised kernel layer (PR-9 tentpole).
+"""Tests for the batched/vectorised kernel layer.
 
 Two contracts:
 
-* ``repro.kernels`` backend dispatch — ``REPRO_KERNEL`` selects numpy
-  (default) or numba, unknown/unavailable backends fail loudly, and
-  when numba *is* importable both backends are bit-identical on the
-  shared kernel surface.
-* the batched Algorithm-3 tree path in the extension engine — with
+* the integer kernels of ``repro.kernels`` — component labels, the
+  forest check and the two greedy forest selections — agree with
+  independent pure-Python references on the deterministic corpus.
+* the batched Algorithm-3 tree path in the extension engine — the
+  vectorized tree DP matches the per-component reference, and with
   ``batched_certificates`` on (the default) every extension value is
-  bit-identical to the legacy per-component loop, pinned by a
-  hypothesis differential plus the deterministic corpus.
+  bit-identical to the per-component loop, pinned by a hypothesis
+  differential plus the deterministic corpus.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,76 +32,86 @@ _CORPUS = deterministic_corpus()
 _GRID = [1.0, 2.0, 3.0, 4.0, 8.0]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_backend(monkeypatch):
-    """Each test resolves the backend from its own environment."""
-    kernels._reset_backend_cache()
-    yield
-    kernels._reset_backend_cache()
-
-
 # ----------------------------------------------------------------------
-# Backend dispatch
+# Kernel surface vs independent references
 # ----------------------------------------------------------------------
-def test_default_backend_is_numpy(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    kernels._reset_backend_cache()
-    assert kernels.kernel_backend() == "numpy"
+def _reference_labels(n, u, v, edges) -> list[int]:
+    """Min-vertex component label of each vertex under the edge indices
+    ``edges``, by breadth-first search from each vertex in id order."""
+    adjacency = [[] for _ in range(n)]
+    for j in edges:
+        a, b = int(u[j]), int(v[j])
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    labels = [-1] * n
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        queue = [start]
+        for w in queue:
+            for x in adjacency[w]:
+                if labels[x] < 0:
+                    labels[x] = start
+                    queue.append(x)
+    return labels
 
 
-def test_explicit_numpy_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    kernels._reset_backend_cache()
-    assert kernels.kernel_backend() == "numpy"
+def _reference_is_forest(n, u, v, edges) -> bool:
+    return len(edges) == n - len(set(_reference_labels(n, u, v, edges)))
 
 
-def test_unknown_backend_fails_loudly(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "cuda")
-    kernels._reset_backend_cache()
-    with pytest.raises(kernels.KernelBackendError, match="cuda"):
-        kernels.kernel_backend()
-
-
-def test_numba_backend_requires_numba(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "numba")
-    kernels._reset_backend_cache()
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        with pytest.raises(kernels.KernelBackendError, match="numba"):
-            kernels.kernel_backend()
-    else:
-        assert kernels.kernel_backend() == "numba"
-
-
-def _kernel_surface(backend_env, monkeypatch, graph):
-    monkeypatch.setenv("REPRO_KERNEL", backend_env)
-    kernels._reset_backend_cache()
-    compact = as_compact(graph)
-    n = compact.number_of_vertices()
-    u, v = compact.edge_arrays()
-    rng = np.random.default_rng(7)
-    weights = rng.random(u.size)
-    return (
-        kernels.connected_component_labels(n, u, v),
-        kernels.is_forest(n, u, v),
-        kernels.max_weight_forest(n, u, v, weights),
-        kernels.greedy_capped_forest(n, u, v, 2),
-    )
+def _reference_capped_greedy(n, u, v, order, caps) -> list[int]:
+    chosen: list[int] = []
+    degree = [0] * n
+    for j in order:
+        a, b = int(u[j]), int(v[j])
+        labels = _reference_labels(n, u, v, chosen)
+        if degree[a] < caps[a] and degree[b] < caps[b] and labels[a] != labels[b]:
+            chosen.append(j)
+            degree[a] += 1
+            degree[b] += 1
+    return chosen
 
 
 @pytest.mark.parametrize(
     "name,graph", _CORPUS, ids=[name for name, _ in _CORPUS]
 )
-def test_numba_matches_numpy_on_kernel_surface(name, graph, monkeypatch):
-    pytest.importorskip("numba")
-    base = _kernel_surface("numpy", monkeypatch, graph)
-    fast = _kernel_surface("numba", monkeypatch, graph)
-    for a, b in zip(base, fast):
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b)
-        else:
-            assert a == b
+def test_kernel_surface_matches_reference(name, graph):
+    compact = as_compact(graph)
+    n = compact.number_of_vertices()
+    u, v = compact.edge_arrays()
+    m = u.size
+    rng = np.random.default_rng(7)
+
+    labels = kernels.connected_component_labels(n, u, v)
+    assert labels.tolist() == _reference_labels(n, u, v, range(m))
+    assert kernels.is_forest(n, u, v) == _reference_is_forest(n, u, v, range(m))
+
+    # Positive weights: the greedy forest is spanning, heaviest first,
+    # and as heavy as the best acyclic subset found by brute force.
+    weights = rng.random(m)
+    chosen, total = kernels.max_weight_forest(n, u, v, weights)
+    assert _reference_is_forest(n, u, v, chosen)
+    assert len(chosen) == n - len(set(labels.tolist()))
+    assert all(weights[a] >= weights[b] for a, b in zip(chosen, chosen[1:]))
+    assert total == sum(float(weights[j]) for j in chosen)
+    best = max(
+        float(weights[list(subset)].sum())
+        for k in range(m + 1)
+        for subset in combinations(range(m), k)
+        if _reference_is_forest(n, u, v, subset)
+    )
+    assert total == pytest.approx(best, abs=1e-12)
+
+    order = [int(j) for j in rng.permutation(m)]
+    caps = rng.integers(0, 3, size=n)
+    capped, degree = kernels.greedy_capped_forest(n, u, v, order, caps)
+    assert capped == _reference_capped_greedy(n, u, v, order, caps)
+    assert degree.tolist() == np.bincount(
+        np.concatenate([u[capped], v[capped]]), minlength=n
+    ).tolist()
+    assert np.all(degree <= caps)
 
 
 # ----------------------------------------------------------------------
@@ -212,16 +224,3 @@ def test_random_forest_compact_is_forest():
         assert graph.number_of_edges() == n - trees
         u, v = graph.edge_arrays()
         assert kernels.is_forest(n, u, v)
-
-
-def test_backend_gauge_reports_backend(monkeypatch):
-    from repro import telemetry
-
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    kernels._reset_backend_cache()
-    kernels.kernel_backend()
-    snap = telemetry.snapshot()
-    value = telemetry.counter_value(
-        snap, "repro_kernel_backend_info", backend="numpy"
-    )
-    assert value == 1.0

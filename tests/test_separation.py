@@ -1,4 +1,5 @@
-"""Tests for the Padberg–Wolsey separation oracle."""
+"""Tests for the Padberg–Wolsey separation oracle
+(:func:`repro.lp.forest_core.violated_forest_sets`)."""
 
 from itertools import combinations
 
@@ -6,124 +7,86 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from repro.flow.separation import (
-    constraint_violation,
-    find_violated_forest_sets,
-    most_violated_set_with_pin,
-)
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
-    path_graph,
+    disjoint_union,
     star_graph,
 )
-from repro.graphs.graph import Graph, canonical_edge
+from repro.lp.forest_core import violated_forest_sets
 
-from .strategies import small_graphs_with_edge
+from .strategies import graph_arrays, small_graphs_with_edge
 
 
-def _brute_force_most_violated(graph, x):
+def _violation(u, v, x, subset) -> float:
+    """``x(E[S]) − (|S| − 1)`` for the vertex set ``subset``."""
+    inside = sum(
+        float(w)
+        for a, b, w in zip(u.tolist(), v.tolist(), x.tolist())
+        if a in subset and b in subset
+    )
+    return inside - (len(subset) - 1)
+
+
+def _brute_force_most_violated(n, u, v, x) -> float:
     """Reference: maximize x(E[S]) - |S| + 1 over all S with |S| >= 2."""
-    best = -float("inf")
-    vertices = graph.vertex_list()
-    for k in range(2, len(vertices) + 1):
-        for subset in combinations(vertices, k):
-            violation = constraint_violation(graph, x, frozenset(subset))
-            best = max(best, violation)
-    return best
-
-
-class TestConstraintViolation:
-    def test_integral_forest_not_violated(self):
-        g = path_graph(4)
-        x = {e: 1.0 for e in g.edges()}
-        full = frozenset(g.vertices())
-        assert constraint_violation(g, x, full) == 0.0
-
-    def test_cycle_violates(self):
-        g = cycle_graph(3)
-        x = {e: 1.0 for e in g.edges()}
-        assert constraint_violation(g, x, frozenset(g.vertices())) == 1.0
+    return max(
+        _violation(u, v, x, frozenset(subset))
+        for k in range(2, n + 1)
+        for subset in combinations(range(n), k)
+    )
 
 
 class TestOracleFindsViolations:
     def test_full_cycle_weight(self):
-        g = cycle_graph(4)
-        x = {e: 1.0 for e in g.edges()}
-        violated = find_violated_forest_sets(g, x)
+        n, u, v = graph_arrays(cycle_graph(4))
+        x = np.ones(u.size)
+        violated = violated_forest_sets(n, u, v, x)
         assert violated
         for subset in violated:
-            assert constraint_violation(g, x, subset) > 0
+            assert _violation(u, v, x, subset) > 0
 
     def test_valid_point_certified(self):
-        g = complete_graph(4)
         # A spanning tree indicator is inside the forest polytope.
-        x = {canonical_edge(0, i): 1.0 for i in range(1, 4)}
-        assert find_violated_forest_sets(g, x) == []
+        n, u, v = graph_arrays(complete_graph(4))
+        x = (u == 0).astype(float)
+        assert violated_forest_sets(n, u, v, x) == []
 
     def test_fractional_violation(self):
-        g = complete_graph(3)
-        x = {e: 0.9 for e in g.edges()}  # sum 2.7 > 2
-        violated = find_violated_forest_sets(g, x)
+        n, u, v = graph_arrays(complete_graph(3))
+        violated = violated_forest_sets(n, u, v, np.full(3, 0.9))  # 2.7 > 2
         assert violated
         assert frozenset([0, 1, 2]) in violated
 
     def test_fractional_feasible(self):
-        g = complete_graph(3)
-        x = {e: 2.0 / 3.0 for e in g.edges()}  # sum = 2 = |S|-1, tight
-        assert find_violated_forest_sets(g, x) == []
+        n, u, v = graph_arrays(complete_graph(3))
+        x = np.full(3, 2.0 / 3.0)  # sum = 2 = |S|-1, tight
+        assert violated_forest_sets(n, u, v, x) == []
 
     def test_zero_vector(self):
-        g = star_graph(5)
-        assert find_violated_forest_sets(g, {}) == []
+        n, u, v = graph_arrays(star_graph(5))
+        assert violated_forest_sets(n, u, v, np.zeros(u.size)) == []
 
     def test_max_sets_cap(self):
-        g = Graph()
         # Many disjoint overweight triangles.
-        for i in range(5):
-            base = 3 * i
-            for a, b in [(0, 1), (1, 2), (0, 2)]:
-                g.add_edge(base + a, base + b)
-        x = {e: 1.0 for e in g.edges()}
-        violated = find_violated_forest_sets(g, x, max_sets=3)
+        n, u, v = graph_arrays(disjoint_union([complete_graph(3)] * 5))
+        violated = violated_forest_sets(n, u, v, np.ones(u.size), max_sets=3)
         assert len(violated) == 3
-
-
-class TestPinnedOracle:
-    def test_pin_in_result(self):
-        g = cycle_graph(3)
-        x = {e: 1.0 for e in g.edges()}
-        subset, excess = most_violated_set_with_pin(g, x, 0)
-        assert 0 in subset
-        assert excess > 0
-
-    def test_excess_matches_brute_force(self):
-        g = complete_graph(4)
-        rng = np.random.default_rng(3)
-        x = {e: float(rng.random()) for e in g.edges()}
-        best = max(
-            most_violated_set_with_pin(g, x, pin)[1] for pin in g.vertices()
-        )
-        brute = _brute_force_most_violated(g, x)
-        # The pinned maximum over all pins covers every S with |S| >= 1;
-        # brute force only checks |S| >= 2, so pinned >= brute always,
-        # with equality when the optimum has >= 2 vertices.
-        assert best >= brute - 1e-9
 
 
 class TestOracleSoundAndComplete:
     @given(small_graphs_with_edge(max_vertices=6), st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_matches_brute_force(self, g, seed):
-        rng = np.random.default_rng(seed)
-        x = {e: float(rng.random()) for e in g.edges()}
-        brute_best = _brute_force_most_violated(g, x)
-        found = find_violated_forest_sets(g, x, tolerance=1e-9)
+        n, u, v = graph_arrays(g)
+        x = np.random.default_rng(seed).random(u.size)
+        brute_best = _brute_force_most_violated(n, u, v, x)
+        found = violated_forest_sets(n, u, v, x, tolerance=1e-9)
         if brute_best > 1e-6:
             assert found, f"missed violation of {brute_best}"
             # soundness: every returned set is genuinely violated
             for subset in found:
-                assert constraint_violation(g, x, subset) > 1e-9
+                assert _violation(u, v, x, subset) > 1e-9
         else:
             for subset in found:
-                assert constraint_violation(g, x, subset) > 0
+                assert _violation(u, v, x, subset) > 0
