@@ -1,12 +1,15 @@
 """Maximum flow / minimum cut (Dinic's algorithm) with real capacities.
 
-Built from scratch for the Padberg–Wolsey separation oracle
-:func:`repro.lp.forest_core.violated_forest_sets`; the oracle's networks
-have real-valued capacities (fractional LP solutions), so the
-implementation carries an explicit numerical tolerance below which
-residual capacity is treated as zero.  With finitely many distinct
-capacity values derived from one LP solution this converges exactly
-like the integral case.
+The exact fallback of the Padberg–Wolsey separation oracle
+:func:`repro.lp.forest_core.violated_forest_sets`.  The oracle runs its
+pinned min cuts batched, on integer-scaled capacities, through
+:func:`scipy.sparse.csgraph.maximum_flow`; a pin whose integer cut
+neither yields a violated set nor certifies that none exists is solved
+here, on the float network.  Its capacities are real-valued (fractional
+LP solutions), so the implementation carries an explicit numerical
+tolerance below which residual capacity is treated as zero.  With
+finitely many distinct capacity values derived from one LP solution
+this converges exactly like the integral case.
 
 The API is deliberately small: build a :class:`FlowNetwork`, call
 :meth:`FlowNetwork.max_flow`, then :meth:`FlowNetwork.min_cut_source_side`

@@ -29,8 +29,11 @@ Evaluators:
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
-  separation oracle (:func:`violated_forest_sets`) on packed-int
-  :class:`~repro.flow.maxflow.FlowNetwork` networks;
+  separation oracle (:func:`violated_forest_sets`): every pinned min cut
+  of a round runs as one copy of an integer network inside a single
+  :func:`scipy.sparse.csgraph.maximum_flow` call, each cut re-checked in
+  float, with the float :class:`~repro.flow.maxflow.FlowNetwork` as the
+  exact fallback for a pin the integer cut cannot certify;
 * stabilized **column generation** (Dantzig–Wolfe over explicit
   forests, Kruskal pricing with an array union-find) providing the
   feasible lower bound and a Lagrangian upper bound.
@@ -40,7 +43,9 @@ The combined ``auto`` logic — fast tree DP, exhaustive below
 half-integral snapping — lives in :func:`solve_component`.  Snapping
 assumes the optimum is half-integral (true of every instance the test
 suite solves exactly); with ``assume_half_integral=False`` the
-certified ``gap`` is reported instead.
+certified ``gap`` is reported instead.  Every result of
+:func:`solve_component`, memo hits included, is counted in
+``repro_lp_certificates_total{status}`` (:data:`CERTIFICATE_STATUSES`).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .. import kernels, telemetry
 
@@ -57,6 +63,7 @@ from ..flow.maxflow import INFINITY, FlowNetwork
 from ..graphs.compact import CompactGraph
 
 __all__ = [
+    "CERTIFICATE_STATUSES",
     "EXACT_THRESHOLD",
     "ForestLPError",
     "CoreLPResult",
@@ -90,6 +97,7 @@ class CoreLPResult(NamedTuple):
     ``x`` is aligned with the input edge arrays (weight of edge ``j`` at
     position ``j``).  ``value`` is a feasible lower bound; the true
     optimum lies in ``[value, value + gap]`` (``gap == 0`` means exact).
+    ``status`` is one of :data:`CERTIFICATE_STATUSES`.
     """
 
     value: float
@@ -98,6 +106,14 @@ class CoreLPResult(NamedTuple):
     constraints_added: int
     gap: float
     status: str
+
+
+CERTIFICATE_STATUSES = ("exact", "snapped", "approx", "outer-bound")
+"""Every :attr:`CoreLPResult.status`: ``exact`` (a certified optimum),
+``snapped`` (a window narrower than 1/2 snapped to its one half-integer,
+which assumes a half-integral optimum), ``approx`` (only ``[value,
+value + gap]`` is certified) and ``outer-bound`` (a cutting-plane upper
+bound ``gap`` with ``value = 0``)."""
 
 
 def _as_edge_arrays(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +140,19 @@ _SOLVE_CACHE_MAX = 100_000
 _SOLVE_CACHE_MAX_N = 64
 _SOLVE_CACHE_MAX_M = 96
 
-# Always-on memo accounting (a counter bump per *lookup*, far below the
-# cost of even a memoized dict probe's surrounding work); the solve
-# timing histogram and span only engage under an active tracer.
+# Always-on memo and certificate accounting (a counter bump per *lookup*
+# and per result, far below the cost of even a memoized dict probe's
+# surrounding work); the solve timing histogram and span only engage
+# under an active tracer.
 _MEMO_LOOKUPS = telemetry.counter(
     "repro_lp_memo_total",
     "Content-addressed component-solve memo lookups, by result",
     labels=("result",),
+)
+_CERTIFICATES = telemetry.counter(
+    "repro_lp_certificates_total",
+    "Component LP results (memo hits included), by certificate status",
+    labels=("status",),
 )
 _SOLVE_SECONDS = telemetry.histogram(
     "repro_lp_solve_seconds",
@@ -172,6 +194,7 @@ def solve_component(
     m = u.size
     target = float(n - 1)
     if m == 0:
+        _CERTIFICATES.inc(status="exact")
         return CoreLPResult(0.0, np.zeros(0), 0, 0, 0.0, "exact")
     cache_key = None
     if n <= _SOLVE_CACHE_MAX_N and m <= _SOLVE_CACHE_MAX_M:
@@ -190,6 +213,7 @@ def solve_component(
         hit = _SOLVE_CACHE.get(cache_key)
         if hit is not None:
             _MEMO_LOOKUPS.inc(result="hit")
+            _CERTIFICATES.inc(status=hit.status)
             return hit
         _MEMO_LOOKUPS.inc(result="miss")
     with telemetry.span("lp.solve", n=int(n), m=int(m)) as timing:
@@ -213,6 +237,7 @@ def solve_component(
         if len(_SOLVE_CACHE) >= _SOLVE_CACHE_MAX:
             _SOLVE_CACHE.pop(next(iter(_SOLVE_CACHE)))
         _SOLVE_CACHE[cache_key] = result
+    _CERTIFICATES.inc(status=result.status)
     return result
 
 
@@ -506,8 +531,31 @@ def exhaustive_component_value(
 
 
 # ----------------------------------------------------------------------
-# Padberg–Wolsey separation oracle (packed-int networks)
+# Padberg–Wolsey separation oracle (batched integer min cuts)
 # ----------------------------------------------------------------------
+_MAX_FLOW_ARCS = 2**19
+"""Arcs per ``maximum_flow`` call, counting the reverse arc scipy adds
+to each; copies are packed up to this budget, and a copy larger than it
+runs alone."""
+
+_CAPACITY_SCALE = 2**30
+"""``K`` when ``x ≤ 1``, and the capacity of every edge → endpoint arc.
+No capacity exceeds it, so all fit scipy's int32 (which wraps larger
+values silently instead of rejecting them)."""
+
+
+class _Support(NamedTuple):
+    """One connected component of the support: global vertex ids
+    (ascending), local endpoints (``verts[a]``, ``verts[b]``), the edge
+    weights and their integer capacities ``⌊x·K⌋``."""
+
+    verts: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    cap: np.ndarray
+
+
 def violated_forest_sets(
     n: int,
     u: np.ndarray,
@@ -524,59 +572,196 @@ def violated_forest_sets(
     both endpoints with capacity ∞, vertex → sink with capacity 1, or 0
     for ``p``): the cut equals ``x(E)`` minus that maximum, and its
     source side is the violated set.  One pinned min-cut per vertex of
-    each support component (edges with ``x > tolerance``); node labels
-    are packed ints (``-1`` source, ``-2`` sink, ``w`` vertex, ``n + j``
-    edge).
+    each support component (edges with ``x > tolerance``), except in a
+    component that is a tree with ``x ≤ 1``, where no set is violated.
+
+    The pinned cuts run as copies of that network, scaled to integers,
+    inside one :func:`scipy.sparse.csgraph.maximum_flow` call (a few for
+    large components; at most :data:`_MAX_FLOW_ARCS` arcs each).  The
+    integer network has ``c(e) = ⌊x(e)·K⌋`` and vertex → sink ``K``
+    (:func:`_capacity_scale`).  Rounding down means a set never beats a
+    subset that ties with it in the reals, so the residual source side
+    ``S`` is the minimal minimum cut of the float network unless another
+    cut comes within ``m/K`` of it; in such a near tie the pin may get
+    another violated set than a float min cut would give it.  Per pin:
+
+    * ``S ∪ {p}`` is returned if its violation, recomputed in float from
+      ``x``, exceeds ``tolerance`` (sound);
+    * otherwise the pin is clean if ``(c(E) − F)/K + Σ (x(e) − c(e)/K)``
+      is at most ``tolerance``, where ``F`` is the copy's integer flow —
+      this bounds the violation of every ``S ∋ p`` (complete);
+    * any other pin runs the float :class:`FlowNetwork` cut.
+
+    The slack ``Σ (x(e) − c(e)/K)`` is 0 for weights that are multiples
+    of ``1/K`` (halves, quarters, ...) and below ``1/K`` for any other,
+    so a component with more than ``tolerance·K`` edges of other weights
+    (about 107 at ``1e-7`` and ``K = 2**30``) may certify no clean pin
+    and send them all to the float cut.
+
+    Sets come in component order, pins ascending, first occurrence kept.
     """
     u, v = _as_edge_arrays(u, v)
-    support = np.asarray(x) > tolerance
+    x = np.asarray(x, dtype=np.float64)
+    support = x > tolerance
     if not support.any():
         return []
-    su, sv, sid = u[support], v[support], np.nonzero(support)[0]
-    sx = np.asarray(x)[support]
+    su, sv, sx = u[support], v[support], x[support]
     labels = CompactGraph.from_edge_arrays(n, su, sv).component_labels()
     edge_root = labels[su]
     order = np.argsort(edge_root, kind="stable")
-    su, sv, sx, sid = su[order], sv[order], sx[order], sid[order]
-    boundaries = np.nonzero(np.diff(edge_root[order]))[0] + 1
-    starts = np.concatenate([[0], boundaries, [su.size]])
+    su, sv, sx = su[order], sv[order], sx[order]
+    splits = np.nonzero(np.diff(edge_root[order]))[0] + 1
+    scale = _capacity_scale(float(sx.max()))
+    components = []
+    for cu, cv, cx in zip(
+        np.split(su, splits), np.split(sv, splits), np.split(sx, splits)
+    ):
+        verts = np.unique(np.concatenate([cu, cv]))
+        if cx.size == verts.size - 1 and cx.max() <= 1.0:
+            continue  # a tree: |E[S]| ≤ |S| − 1, so no S is violated
+        a, b = np.searchsorted(verts, cu), np.searchsorted(verts, cv)
+        cap = np.floor(cx * scale).astype(np.int64)
+        components.append(_Support(verts, a, b, cx, cap))
 
     violated: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for g in range(starts.size - 1):
-        lo, hi = int(starts[g]), int(starts[g + 1])
-        if hi <= lo:
-            continue
-        cu, cv, cx = su[lo:hi], sv[lo:hi], sx[lo:hi]
-        verts = np.unique(np.concatenate([cu, cv]))
-        if verts.size < 2:
-            continue
-        total_weight = float(cx.sum())
-        for pin in verts.tolist():
-            network = FlowNetwork()
-            for k in range(cu.size):
-                edge_node = n + int(sid[lo + k])
-                network.add_edge(-1, edge_node, float(cx[k]))
-                network.add_edge(edge_node, int(cu[k]), INFINITY)
-                network.add_edge(edge_node, int(cv[k]), INFINITY)
-            for w in verts.tolist():
-                network.add_edge(int(w), -2, 0.0 if w == pin else 1.0)
-            flow = network.max_flow(-1, -2)
-            excess = total_weight - flow
-            if excess <= tolerance:
-                continue
-            source_side = network.min_cut_source_side(-1)
-            chosen = frozenset(
-                int(label)
-                for label in source_side
-                if isinstance(label, int) and 0 <= label < n
-            ) | frozenset([int(pin)])
-            if len(chosen) >= 2 and chosen not in seen:
+    for batch in _pin_batches(components):
+        for chosen in _pinned_cut_sets(n, batch, scale, tolerance):
+            if chosen is not None and len(chosen) >= 2 and chosen not in seen:
                 seen.add(chosen)
                 violated.append(chosen)
                 if len(violated) >= max_sets:
                     return violated
     return violated
+
+
+def _capacity_scale(x_max: float) -> int:
+    """``K``: :data:`_CAPACITY_SCALE` when ``x ≤ 1``, else the largest
+    power of two with ``K·x_max ≤ 2**30`` (0 when none is ≥ 1)."""
+    scale = _CAPACITY_SCALE
+    while scale and x_max * scale > _CAPACITY_SCALE:
+        scale >>= 1
+    return scale
+
+
+def _pin_batches(components: list[_Support]):
+    """Yield lists of ``(component, lo, hi)``: the copies pinned at local
+    vertices ``lo..hi-1``, packed in order into one flow call each."""
+    batch: list[tuple[_Support, int, int]] = []
+    arcs = 0
+    for comp in components:
+        per_copy = 6 * comp.x.size + 2 * comp.verts.size
+        lo = 0
+        while lo < comp.verts.size:
+            room = (_MAX_FLOW_ARCS - arcs) // per_copy
+            if room < 1 and batch:
+                yield batch
+                batch, arcs = [], 0
+                continue
+            hi = min(lo + max(room, 1), comp.verts.size)
+            batch.append((comp, lo, hi))
+            arcs += (hi - lo) * per_copy
+            lo = hi
+    if batch:
+        yield batch
+
+
+def _pinned_cut_sets(n: int, batch, scale: int, tolerance: float):
+    """Yield each pin's violated set, or ``None``, for one batch."""
+    if not scale:
+        for comp, lo, hi in batch:
+            for pin in comp.verts[lo:hi].tolist():
+                yield _float_pinned_cut(n, comp, pin, tolerance)
+        return
+    for (comp, lo, hi), flow, reach in zip(
+        batch, *_batched_max_flow(batch, scale)
+    ):
+        bound = (int(comp.cap.sum()) - flow) / scale + float(
+            (comp.x - comp.cap / scale).sum()
+        )
+        chosen = reach.copy()
+        chosen[np.arange(hi - lo), np.arange(lo, hi)] = True
+        violation = (
+            (chosen[:, comp.a] & chosen[:, comp.b]) @ comp.x
+            - chosen.sum(axis=1)
+            + 1
+        )
+        for i, pin in enumerate(comp.verts[lo:hi].tolist()):
+            if violation[i] > tolerance:
+                yield frozenset(comp.verts[chosen[i]].tolist())
+            elif bound[i] <= tolerance:
+                yield None
+            else:
+                yield _float_pinned_cut(n, comp, pin, tolerance)
+
+
+def _batched_max_flow(batch, scale: int):
+    """One ``maximum_flow`` over every copy in ``batch``.
+
+    Node 0 is the shared source and the last node the shared sink; each
+    copy takes ``m + nv`` consecutive nodes, edge nodes first.  Only the
+    forward arcs are built (the pin's vertex → sink arc left out); in the
+    residual ``capacity − flow`` an arc carrying flow reappears reversed.
+    Returns per batch entry the copies' integer flow values ``(k,)`` and
+    the vertex nodes reachable from the source in the residual graph
+    ``(k, nv)``.
+    """
+    widths = [comp.x.size + comp.verts.size for comp, _, _ in batch]
+    copies = [hi - lo for _, lo, hi in batch]
+    starts = np.cumsum([1] + [w * k for w, k in zip(widths, copies)])
+    sink = int(starts[-1])
+    tails, heads, caps = [], [], []
+    for (comp, lo, hi), width, start in zip(batch, widths, starts):
+        m, k = comp.x.size, hi - lo
+        bases = start + width * np.arange(k)[:, None]
+        edge_nodes, vertex_nodes = bases + np.arange(m), bases + m
+        unpinned = np.ones((k, comp.verts.size), dtype=bool)
+        unpinned[np.arange(k), np.arange(lo, hi)] = False
+        tails += [np.zeros(k * m, dtype=np.int64), edge_nodes, edge_nodes]
+        heads += [edge_nodes, vertex_nodes + comp.a, vertex_nodes + comp.b]
+        caps += [np.tile(comp.cap, k), np.full(2 * k * m, _CAPACITY_SCALE)]
+        tails.append((vertex_nodes + np.arange(comp.verts.size))[unpinned])
+        heads.append(np.full(tails[-1].size, sink))
+        caps.append(np.full(tails[-1].size, scale))
+    rows = np.concatenate([t.ravel() for t in tails])
+    cols = np.concatenate([h.ravel() for h in heads])
+    capacity = sparse.coo_array(
+        (np.concatenate(caps), (rows, cols)), shape=(sink + 1, sink + 1)
+    ).tocsr()
+    flow = maximum_flow(capacity, 0, sink).flow
+    # Traversal treats stored zeros as arcs: keep only the open ones.
+    residual = capacity - flow > 0
+    reached = np.zeros(sink + 1, dtype=bool)
+    reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
+    sent = np.zeros(sink + 1, dtype=np.int64)
+    out = slice(flow.indptr[0], flow.indptr[1])
+    sent[flow.indices[out]] = flow.data[out]
+
+    flows, reaches = [], []
+    for (comp, lo, hi), width, start in zip(batch, widths, starts):
+        m, nodes = comp.x.size, slice(start, start + (hi - lo) * width)
+        flows.append(sent[nodes].reshape(-1, width)[:, :m].sum(axis=1))
+        reaches.append(reached[nodes].reshape(-1, width)[:, m:])
+    return flows, reaches
+
+
+def _float_pinned_cut(
+    n: int, comp: _Support, pin: int, tolerance: float
+) -> Optional[frozenset[int]]:
+    """The pinned min cut on the float :class:`FlowNetwork` (node labels:
+    ``-1`` source, ``-2`` sink, ``w`` vertex, ``n + j`` edge)."""
+    network = FlowNetwork()
+    ends = zip(comp.verts[comp.a].tolist(), comp.verts[comp.b].tolist())
+    for j, ((a, b), weight) in enumerate(zip(ends, comp.x.tolist())):
+        network.add_edge(-1, n + j, weight)
+        network.add_edge(n + j, a, INFINITY)
+        network.add_edge(n + j, b, INFINITY)
+    for w in comp.verts.tolist():
+        network.add_edge(w, -2, 0.0 if w == pin else 1.0)
+    if float(comp.x.sum()) - network.max_flow(-1, -2) <= tolerance:
+        return None
+    side = network.min_cut_source_side(-1)
+    return frozenset(label for label in side if 0 <= label < n) | {pin}
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,20 @@ from repro.graphs.generators import (
     random_tree,
     star_graph,
 )
+from repro import telemetry
 from repro.lp import forest_core
 
 from .strategies import graph_arrays
+
+# G(15, 0.26) drawn with seed 57: at Δ = 2 its sandwich window snaps to
+# f_2 = 14, the value the exhaustive LP gives.
+SNAPPED_COMPONENT = (
+    15,
+    np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 4, 5,
+              5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 8, 10, 10, 10, 11]),
+    np.array([3, 4, 8, 12, 6, 9, 11, 4, 8, 14, 6, 7, 8, 10, 12, 11, 7,
+              9, 12, 8, 9, 10, 12, 8, 10, 9, 10, 11, 12, 12, 13, 14, 14]),
+)
 
 
 class TestTreeDP:
@@ -140,3 +151,56 @@ class TestColumnGenerationCore:
         np.add.at(degrees, v, cg.x)
         assert degrees.max() <= 2 + 1e-6
         assert forest_core.violated_forest_sets(count, u, v, cg.x, 1e-5) == []
+
+
+class TestCertificateCounter:
+    @staticmethod
+    def _counts():
+        snap = telemetry.snapshot()
+        return {
+            status: telemetry.counter_value(
+                snap, "repro_lp_certificates_total", status=status
+            )
+            for status in forest_core.CERTIFICATE_STATUSES
+        }
+
+    def test_exhaustive_solve_and_memo_hit_count_exact(self):
+        forest_core.clear_solve_cache()
+        count, u, v = graph_arrays(complete_graph(5))
+        before = self._counts()
+        for _ in range(2):  # a solve, then a memo hit
+            assert forest_core.solve_component(count, u, v, 2).status == "exact"
+        after = self._counts()
+        assert after["exact"] == before["exact"] + 2
+        assert {s: after[s] - before[s] for s in after if s != "exact"} == {
+            "snapped": 0, "approx": 0, "outer-bound": 0
+        }
+
+    def test_snapped_solve_counts_snapped(self):
+        forest_core.clear_solve_cache()
+        before = self._counts()
+        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2)
+        assert result.status == "snapped"
+        assert self._counts()["snapped"] == before["snapped"] + 1
+        exact = forest_core.exhaustive_component_value(*SNAPPED_COMPONENT, 2)
+        assert result.value == pytest.approx(exact.value, abs=1e-6)
+
+    def test_labels_are_the_four_statuses(self):
+        assert forest_core.CERTIFICATE_STATUSES == (
+            "exact", "snapped", "approx", "outer-bound"
+        )
+        count, u, v = graph_arrays(complete_graph(6))
+        produced = {
+            forest_core.exhaustive_component_value(count, u, v, 2).status,
+            forest_core.solve_component(*SNAPPED_COMPONENT, 2).status,
+            forest_core.column_generation_component(
+                *SNAPPED_COMPONENT, 2, max_iterations=1
+            ).status,
+            forest_core.cutting_plane_component(
+                count, u, v, 2, 1e-7, 1, strict=False
+            ).status,
+        }
+        assert produced == set(forest_core.CERTIFICATE_STATUSES)
+        entry = telemetry.snapshot()["repro_lp_certificates_total"]
+        assert entry["labels"] == ["status"]
+        assert {key for (key,), _ in entry["values"]} <= produced
