@@ -19,11 +19,17 @@ amortization win is structural: the cold path re-runs the component
 decomposition and the whole-grid extension pass per query; the session
 pays them once, so the k-th hot query costs only GEM selection plus one
 Laplace draw.
+
+The table also reports what that one miss costs: the median over
+``_MISS_REPEATS`` fresh sessions of the first query's time, divided by
+the median time of a plain cold release of the same query (reported,
+not gated; the target is at most 1.2x).
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -46,6 +52,8 @@ _REQUIRED_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SESSION_SPEEDUP", "5.0")
 )
 
+_MISS_REPEATS = 5
+
 # 32 mixed (estimator, epsilon) queries: both Algorithm-1 statistics
 # across a small epsilon menu, interleaved.
 _QUERIES = [
@@ -58,6 +66,24 @@ def _query_rng(i: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(_BASE_SEED, spawn_key=(i,))
     )
+
+
+def _miss_cost_ratio(graph) -> float:
+    """Median first-query time of a fresh session over the median time
+    of a plain cold release of the same query."""
+    name, epsilon = _QUERIES[0]
+    cold, first = [], []
+    for _ in range(_MISS_REPEATS):
+        clear_solve_cache()
+        start = time.perf_counter()
+        create(name, epsilon=epsilon).release(graph, _query_rng(0))
+        cold.append(time.perf_counter() - start)
+        clear_solve_cache()
+        session = ReleaseSession()
+        start = time.perf_counter()
+        session.query(name, epsilon=epsilon, graph=graph, rng=_query_rng(0))
+        first.append(time.perf_counter() - start)
+    return statistics.median(first) / statistics.median(cold)
 
 
 def _run_experiment(rng):
@@ -103,6 +129,7 @@ def _run_experiment(rng):
     assert session.stats.graph_hits == _N_QUERIES - 1
 
     speedup = cold_time / warm_time
+    miss_ratio = _miss_cost_ratio(graph)
     rows = [
         [
             _N,
@@ -113,6 +140,7 @@ def _run_experiment(rng):
             cold_time / _N_QUERIES,
             warm_time / _N_QUERIES,
             speedup,
+            miss_ratio,
         ]
     ]
     emit_table(
@@ -126,11 +154,14 @@ def _run_experiment(rng):
             "cold s/q",
             "session s/q",
             "speedup",
+            "miss/cold",
         ],
         rows,
         f"32 mixed (estimator, eps) queries on one hot G(n, {_C:g}/n): "
         f"cold releases vs ReleaseSession "
-        f"(required speedup >= {_REQUIRED_SPEEDUP:g}x)",
+        f"(required speedup >= {_REQUIRED_SPEEDUP:g}x); miss/cold = a "
+        f"fresh session's first query over a cold release (median of "
+        f"{_MISS_REPEATS}, target <= 1.2x)",
     )
 
     assert speedup >= _REQUIRED_SPEEDUP, (

@@ -146,7 +146,8 @@ class _ComponentwiseExtension:
         self._lp_cache: dict[int, dict[float, float]] = {}
         self._compact_cache: dict[int, CompactGraph] = {}
         self._value_cache: dict[float, float] = {}
-        self._component_fps: Optional[list[str]] = None
+        self._fingerprints: dict[int, str] = {}
+        self._valued: set[int] = set()
         self._true_fsf = 0
 
     def _finish_prepare(self, sizes, maxdeg, edge_counts) -> None:
@@ -164,8 +165,14 @@ class _ComponentwiseExtension:
         self._repair_failed = {}
         self._lp_cache = {}
         self._compact_cache = {}
-        self._component_fps = None
+        self._fingerprints = {}
+        self._valued = set()
         self._prepared = True
+
+    def _ensure_prepared(self) -> None:
+        if not self._prepared:
+            with telemetry.span("extension.prepare"):
+                self._prepare()
 
     def _component_graph(self, i: int) -> CompactGraph:
         """Component ``i`` as a (cached) local-index :class:`CompactGraph`."""
@@ -202,9 +209,7 @@ class _ComponentwiseExtension:
         cached = self._value_cache.get(key)
         if cached is not None:
             return cached
-        if not self._prepared:
-            with telemetry.span("extension.prepare"):
-                self._prepare()
+        self._ensure_prepared()
         if self._sizes.size == 0:
             total = 0.0
         else:
@@ -368,33 +373,54 @@ class _ComponentwiseExtension:
                 raise ValueError(f"delta must be positive, got {delta}")
             self._value_cache[key] = float(value)
 
-    def component_fingerprints(self) -> list[str]:
-        """Canonical content hash of each edge-bearing component.
+    def candidate_fingerprints(self, grid: Sequence[float]) -> dict[int, str]:
+        """Content hash of each component :meth:`value` could hand to
+        Algorithm-3 repair or the LP at some Δ in ``grid``, keyed by
+        component index.
 
-        Engine order (ascending component root).  Hashes are computed
-        over the same canonical ``(n, u, v)`` local-index arrays the LP
-        core consumes — see
-        :func:`repro.graphs.compact.component_fingerprint` — so they
-        agree with :meth:`CompactGraph.component_fingerprints` and stay
-        stable across graph versions for components untouched by
-        :meth:`CompactGraph.apply_edits`.  Triggers :meth:`_prepare`.
+        Every other component is settled at each grid Δ by the
+        exactness mask (``maxdeg ≤ Δ``) or by the batched tree DP —
+        recomputing those is cheaper than hashing them, so only these
+        candidates are worth warming from a per-component table.  With
+        default options and Algorithm 1's power-of-two grid they are the
+        non-tree components with ``maxdeg > min(grid)``.  The candidate
+        set is array work; only candidates are hashed, over the same
+        canonical ``(n, u, v)`` arrays the LP core consumes (see
+        :func:`repro.graphs.compact.component_fingerprint`), so a
+        component untouched by :meth:`CompactGraph.apply_edits` keeps
+        its hash across graph versions.  Triggers :meth:`_prepare`.
         """
-        if not self._prepared:
-            with telemetry.span("extension.prepare"):
-                self._prepare()
-        if self._component_fps is None:
-            self._component_fps = [
-                component_fingerprint(*self._component_arrays(i))
-                for i in range(self._sizes.size)
-            ]
-        return list(self._component_fps)
+        self._ensure_prepared()
+        deltas = np.asarray(grid, dtype=float)
+        reach = self._maxdeg > np.min(deltas, initial=np.inf)
+        if self._batched_certificates and self._use_fast_paths:
+            # Mirrors _batched_tree_pass: trees at integral Δ ≥ 1 never
+            # reach the repair/LP path.
+            unbatched = deltas[(deltas < 1) | (deltas != np.floor(deltas))]
+            tree = self._edge_counts == self._sizes - 1
+            reach &= ~tree | (self._maxdeg > np.min(unbatched, initial=np.inf))
+        return {
+            i: self._component_fingerprint(i)
+            for i in np.flatnonzero(reach).tolist()
+        }
+
+    def _component_fingerprint(self, i: int) -> str:
+        fingerprint = self._fingerprints.get(i)
+        if fingerprint is None:
+            fingerprint = component_fingerprint(*self._component_arrays(i))
+            self._fingerprints[i] = fingerprint
+        return fingerprint
 
     def export_component_tables(self) -> list[tuple[str, dict[float, float]]]:
         """Per-component ``Δ -> f_Δ(component)`` tables for every
         evaluated Δ, paired with the component's content fingerprint.
 
         The component-level serialization surface of the persistent
-        extension cache: for each evaluated Δ the stored value is
+        extension cache.  Only components that got a value from
+        Algorithm-3 repair or the LP in this extension are exported:
+        mask and batched-tree values are cheaper to recompute than to
+        hash, and a component answered wholly from a preloaded table is
+        already stored.  For each evaluated Δ the stored value is
         exactly what a cold evaluation produces for that component —
         ``size - 1`` when exactness is certified (degree bound or
         Algorithm-3 forest), otherwise the memoized LP optimum.
@@ -406,7 +432,7 @@ class _ComponentwiseExtension:
         deltas = sorted(self._value_cache)
         tables: list[tuple[str, dict[float, float]]] = []
         empty: dict[float, float] = {}
-        for i, fp in enumerate(self.component_fingerprints()):
+        for i in sorted(self._valued):
             size_value = float(self._sizes[i] - 1)
             lp = self._lp_cache.get(i, empty)
             table: dict[float, float] = {}
@@ -417,29 +443,26 @@ class _ComponentwiseExtension:
                     cached = lp.get(key)
                     if cached is not None:
                         table[key] = cached
-            tables.append((fp, table))
+            tables.append((self._component_fingerprint(i), table))
         return tables
 
     def preload_component_tables(
-        self, tables: Mapping[str, Mapping[float, float]]
+        self, tables: Mapping[int, Mapping[float, float]]
     ) -> int:
-        """Install per-component value tables keyed by content fingerprint.
+        """Install per-component value tables keyed by component index.
 
         Counterpart of :meth:`export_component_tables` after an edit
-        batch: the component split still runs (it is pure array work),
-        but every component whose fingerprint appears in ``tables`` —
-        i.e. every component untouched by the edits — answers later
-        :meth:`value` calls from the preloaded table instead of paying
+        batch: the caller matches the :meth:`candidate_fingerprints` of
+        this graph version against stored tables, and every component
+        found — i.e. every candidate untouched by the edits — answers
+        later :meth:`value` calls from its table instead of paying
         Algorithm-3 or the LP again.  Returns the number of components
         warmed.  Values land in the per-component memo, so totals remain
         bit-identical to a cold rebuild (see :meth:`value`).
         """
-        if not self._prepared:
-            with telemetry.span("extension.prepare"):
-                self._prepare()
+        self._ensure_prepared()
         hits = 0
-        for i, fp in enumerate(self.component_fingerprints()):
-            table = tables.get(fp)
+        for i, table in tables.items():
             if not table:
                 continue
             dest = self._lp_cache.setdefault(i, {})
@@ -457,6 +480,7 @@ class _ComponentwiseExtension:
         cached = table.get(delta) if table is not None else None
         if cached is not None:
             return cached
+        self._valued.add(i)
         if self._use_fast_paths:
             floor_delta = int(delta)
             failed = self._repair_failed.get(i)

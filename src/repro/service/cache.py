@@ -33,7 +33,8 @@ shared :mod:`repro.storage` atomic discipline (tmp + fsync +
 :class:`~repro.experiments.store.ResultStore`.  Reads validate the
 record against the requested coordinates; a torn, truncated, or
 tampered file is **deleted and treated as a miss** (the table is simply
-rebuilt), never a crash.
+rebuilt), never a crash.  A reader deletes only the file it read: a
+record another process publishes concurrently is never removed.
 
 Privacy
 -------
@@ -50,14 +51,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .. import __version__, telemetry
 from ..storage import (
     atomic_write_json,
     clean_stale_tmp,
     iter_keys,
-    read_json_or_none,
+    open_json_record,
     sharded_path,
 )
 
@@ -265,17 +266,12 @@ class ExtensionCache:
         file is deleted (so the slot rebuilds cleanly) and reported as
         a miss.
         """
-        key = self.key(fingerprint, lp_options, grid)
-        path = self.path_for(key)
-        record = read_json_or_none(path)
+        path = self.path_for(self.key(fingerprint, lp_options, grid))
+        record = self._read_valid(
+            path,
+            lambda record: self._valid(record, fingerprint, lp_options, grid),
+        )
         if record is None:
-            if os.path.exists(path):
-                # Present but undecodable: torn or foreign content.
-                self._invalidate_path(path)
-            self.stats.record_miss()
-            return None
-        if not self._valid(record, fingerprint, lp_options, grid):
-            self._invalidate_path(path)
             self.stats.record_miss()
             return None
         self.stats.record_hit()
@@ -341,16 +337,16 @@ class ExtensionCache:
         against the requested coordinates, and anything torn or
         mismatched is deleted and treated as a miss.
         """
-        key = self.component_key(fingerprint, lp_options, grid)
-        path = self.component_path_for(key)
-        record = read_json_or_none(path)
+        path = self.component_path_for(
+            self.component_key(fingerprint, lp_options, grid)
+        )
+        record = self._read_valid(
+            path,
+            lambda record: self._valid_component(
+                record, fingerprint, lp_options, grid
+            ),
+        )
         if record is None:
-            if os.path.exists(path):
-                self._invalidate_path(path)
-            self.stats.record_component_miss()
-            return None
-        if not self._valid_component(record, fingerprint, lp_options, grid):
-            self._invalidate_path(path)
             self.stats.record_component_miss()
             return None
         self.stats.record_component_hit()
@@ -434,6 +430,25 @@ class ExtensionCache:
         return clean_stale_tmp(self.root, max_age_seconds)
 
     # ------------------------------------------------------------------
+    def _read_valid(
+        self, path: str, valid: Callable[[Any], bool]
+    ) -> Optional[dict]:
+        """The record at ``path`` if it decodes and passes ``valid``.
+
+        An absent file is a plain miss.  A torn or invalid record is
+        deleted, but only while ``path`` still names the file that was
+        read: a writer that published a valid record in between keeps
+        it.
+        """
+        with open_json_record(path) as found:
+            if found is None:
+                return None
+            if found.record is not None and valid(found.record):
+                return found.record
+            if found.discard():
+                self.stats.record_invalidation()
+            return None
+
     def _invalidate_path(self, path: str) -> bool:
         try:
             os.unlink(path)

@@ -98,7 +98,10 @@ class SessionStats:
     eviction and re-admission of a graph never reset it (the counters
     are session-scoped, not entry-scoped).  ``disk_warm_starts`` counts
     extensions preloaded from the persistent on-disk cache instead of
-    being computed.
+    being computed.  ``component_hits`` and ``component_misses`` count
+    the distinct candidate fingerprints (components that could reach
+    Algorithm-3 repair or the LP) looked up on a whole-graph miss, and
+    ``component_promotions`` the component tables promoted.
     """
 
     queries: int = 0
@@ -218,14 +221,21 @@ class ReleaseSession:
         :mod:`repro.service.cache`).
     component_promotion, component_memo_size:
         The delta-update path (:meth:`CompactGraph.apply_edits`).  When
-        enabled (default), finished per-component value tables are
-        promoted to a bounded in-memory memo keyed by component content
-        fingerprint — and to the persistent cache when one is attached —
-        and a whole-graph extension miss falls back to warming every
-        component whose fingerprint is already known.  After an edit
-        batch only the touched components pay Algorithm-3/LP work again;
-        released values stay bit-identical to a cold full rebuild.
-        Set ``component_promotion=False`` to force full rebuilds.
+        enabled (default), the value tables of components valued by
+        Algorithm-3 repair or the LP are promoted to a bounded in-memory
+        memo keyed by component content fingerprint — and to the
+        persistent cache when one is attached.  A whole-graph extension
+        miss then fingerprints only the components that could reach
+        repair or the LP on the query's grid (with default options, the
+        non-tree components with max degree above the grid's smallest
+        Δ) and warms each one whose table is already known; every other
+        component is valued by the exactness mask or the batched tree
+        DP, as in a cold release.  After an edit batch only the touched
+        components pay Algorithm-3/LP work again; released values stay
+        bit-identical to a cold full rebuild.  The ``component_hits``,
+        ``component_misses`` and ``component_promotions`` counters count
+        these candidate components only.  Set
+        ``component_promotion=False`` to force full rebuilds.
 
     Examples
     --------
@@ -443,14 +453,20 @@ class ReleaseSession:
     def _warm_components(self, extension, grid) -> int:
         """Preload per-component tables from the memo / persistent cache.
 
-        Runs the (pure array) component split, then answers every
-        component whose content fingerprint is already known — i.e.
-        every component untouched since the donor graph was served.
-        Returns the number of components warmed.
+        Runs the (pure array) component split, then looks up only the
+        promotion candidates — the components the extension could hand
+        to Algorithm-3 repair or the LP at some Δ in ``grid`` (see
+        :meth:`~repro.core.extension.CompactSpanningForestExtension.candidate_fingerprints`).
+        Every candidate whose content fingerprint is already known, i.e.
+        every one untouched since a donor graph was served, is warmed;
+        the rest of the graph is valued as in a cold release.  Returns
+        the number of components warmed.
         """
-        fps = extension.component_fingerprints()
-        tables: dict[str, dict[float, float]] = {}
-        for fp in dict.fromkeys(fps):
+        by_fingerprint: dict[str, list[int]] = {}
+        for i, fp in extension.candidate_fingerprints(grid).items():
+            by_fingerprint.setdefault(fp, []).append(i)
+        tables: dict[int, dict[float, float]] = {}
+        for fp, indices in by_fingerprint.items():
             key = self._component_key(fp, grid)
             table = self._component_memo.get(key)
             if table is not None:
@@ -463,7 +479,7 @@ class ReleaseSession:
                     self._memo_put(key, table)
                     self._promoted_components.add(key)
             if table:
-                tables[fp] = table
+                tables.update(dict.fromkeys(indices, table))
                 self.stats.record_component_hit()
             else:
                 self.stats.record_component_miss()
@@ -480,6 +496,9 @@ class ReleaseSession:
         """Export the entry's per-component value tables to the memo
         (and the persistent cache when attached).
 
+        Only tables of components valued by Algorithm-3 repair or the LP
+        are exported (see
+        :meth:`~repro.core.extension.CompactSpanningForestExtension.export_component_tables`).
         Runs at the same moments as :meth:`_persist_entry` — after a
         shared-extension query, on LRU eviction, and from
         :meth:`persist_warm_extensions` — and is equally idempotent:

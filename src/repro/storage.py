@@ -17,7 +17,9 @@ discipline, implemented here exactly once:
 * stray ``*.tmp`` files from a killed process are cleaned
   opportunistically, but only once they are old enough that they cannot
   belong to a live concurrent writer — unlinking a fresh ``.tmp``
-  would make that writer's ``os.replace`` fail.
+  would make that writer's ``os.replace`` fail;
+* a reader that drops a damaged record (:func:`open_json_record`)
+  removes only the file it read, never one a writer published since.
 
 Alongside the replace-whole-record stores there is one **append-only**
 primitive, :class:`JsonlLogWriter` (used by the serving daemon's audit
@@ -33,15 +35,19 @@ package, so any subsystem can depend on it without cycles.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import time
+from typing import Iterator, Optional
 
 __all__ = [
     "sharded_path",
     "atomic_write_json",
     "read_json_or_none",
+    "open_json_record",
+    "OpenRecord",
     "iter_keys",
     "clean_stale_tmp",
     "JsonlLogWriter",
@@ -98,6 +104,61 @@ def atomic_write_json(path: str, record: dict) -> None:
         raise
 
 
+class OpenRecord:
+    """A JSON record decoded from a file that is still open.
+
+    Yielded by :func:`open_json_record`.  ``record`` is the decoded
+    value, or ``None`` if the file could not be decoded.
+    """
+
+    def __init__(self, path: str, handle, record) -> None:
+        self.path = path
+        self.record = record
+        self._handle = handle
+
+    def discard(self) -> bool:
+        """Unlink :attr:`path` if it still names the file that was read.
+
+        A concurrent writer may have ``os.replace``-d a new record onto
+        the path since it was opened; that record is left alone.  The
+        comparison runs while the read handle is still open, so the
+        inode it compares cannot have been reused.  ``True`` if
+        something was removed.
+        """
+        try:
+            if not os.path.samestat(
+                os.fstat(self._handle.fileno()), os.stat(self.path)
+            ):
+                return False
+            os.unlink(self.path)
+        except OSError:
+            return False
+        return True
+
+
+@contextlib.contextmanager
+def open_json_record(path: str) -> Iterator[Optional[OpenRecord]]:
+    """Read the JSON record at ``path`` and keep its file open.
+
+    Yields ``None`` if ``path`` does not exist — decided by this single
+    open, so a record published a moment later is never mistaken for a
+    damaged one — and otherwise an :class:`OpenRecord` whose
+    :meth:`~OpenRecord.discard` drops the record only if no writer has
+    replaced it since.
+    """
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        yield None
+        return
+    with handle:
+        try:
+            record = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            record = None
+        yield OpenRecord(path, handle, record)
+
+
 def read_json_or_none(path: str) -> dict | None:
     """Load the JSON record at ``path``; ``None`` if absent or torn.
 
@@ -106,13 +167,8 @@ def read_json_or_none(path: str) -> dict | None:
     file was produced or damaged by something else; callers treat it as
     a cache miss.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
+    with open_json_record(path) as found:
+        return None if found is None else found.record
 
 
 def iter_keys(root: str | os.PathLike):

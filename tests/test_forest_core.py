@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import (
     caterpillar_graph,
     complete_graph,
@@ -204,3 +205,43 @@ class TestCertificateCounter:
         entry = telemetry.snapshot()["repro_lp_certificates_total"]
         assert entry["labels"] == ["status"]
         assert {key for (key,), _ in entry["values"]} <= produced
+
+
+def _connected_gnm_corpus(seed: int, per_size: int):
+    """Connected G(n, m) graphs with n in {14, 15, 16} (just above
+    ``EXACT_THRESHOLD``, so ``solve_component`` takes the certified
+    sandwich) and m drawn from [1.2n, 2.2n), as canonical arrays."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for n in (14, 15, 16):
+        pairs = np.array(
+            [(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.int64
+        )
+        drawn = 0
+        while drawn < per_size:
+            m = int(rng.integers(int(np.ceil(1.2 * n)), int(np.ceil(2.2 * n))))
+            chosen = pairs[np.sort(rng.choice(len(pairs), size=m, replace=False))]
+            graph = CompactGraph.from_edge_arrays(n, chosen[:, 0], chosen[:, 1])
+            if graph.is_connected():
+                corpus.append(graph_arrays(graph))
+                drawn += 1
+    return corpus
+
+
+class TestSnappedAgainstExhaustive:
+    def test_snapped_values_equal_the_exhaustive_lp(self):
+        """``snapped`` rests on the half-integrality assumption, so check
+        each snapped value against the LP with every forest constraint
+        materialized, on a corpus small enough to enumerate (n <= 16)."""
+        assert forest_core.EXACT_THRESHOLD < 14
+        forest_core.clear_solve_cache()
+        snapped = []
+        for count, u, v in _connected_gnm_corpus(seed=3, per_size=35):
+            for delta in (1, 2, 3):
+                result = forest_core.solve_component(count, u, v, delta)
+                if result.status == "snapped":
+                    snapped.append((count, u, v, delta, result.value))
+        assert len(snapped) >= 5, "the corpus no longer exercises snapping"
+        for count, u, v, delta, value in snapped:
+            exact = forest_core.exhaustive_component_value(count, u, v, delta)
+            assert value == pytest.approx(exact.value, abs=1e-6), (count, delta)

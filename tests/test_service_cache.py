@@ -14,6 +14,7 @@ Load-bearing properties:
   accounting or bypass the shared accountant.
 """
 
+import contextlib
 import json
 import os
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.core.extension as extension_module
+import repro.service.cache as cache_module
 from repro.estimators import create
 from repro.graphs.generators import (
     path_graph_compact,
@@ -335,6 +337,80 @@ class TestSweepWarmStart:
         assert [r.record["errors"] for r in first.results] == [
             r.record["errors"] for r in second.results
         ]
+
+
+class TestReadThenPublishRace:
+    """A writer publishes a record between a reader's open and its
+    verdict on what it read.  The reader may miss, but it must never
+    delete the record that was just published.
+
+    The interleaving is forced by wrapping the cache's read so that a
+    second ``ExtensionCache`` stores the same key right after the read.
+    """
+
+    FP = "feedface" * 8
+
+    @staticmethod
+    def _publish_after_read(monkeypatch, publish):
+        real = cache_module.open_json_record
+
+        @contextlib.contextmanager
+        def racing(path):
+            with real(path) as found:
+                publish()
+                yield found
+
+        monkeypatch.setattr(cache_module, "open_json_record", racing)
+
+    def _coordinates(self, kind, reader, writer):
+        """(path, publish, load, expected) for one record kind."""
+        if kind == "table":
+            return (
+                reader.path_for(reader.key(self.FP, LP, GRID)),
+                lambda: writer.store(self.FP, LP, GRID, [1.0] * len(GRID), 3),
+                lambda: reader.load(self.FP, LP, GRID),
+                lambda record: record["values"] == [1.0] * len(GRID),
+            )
+        return (
+            reader.component_path_for(reader.component_key(self.FP, LP, GRID)),
+            lambda: writer.store_component(self.FP, LP, GRID, {1.0: 0.5}),
+            lambda: reader.load_component(self.FP, LP, GRID),
+            lambda table: table == {1.0: 0.5},
+        )
+
+    @pytest.mark.parametrize("kind", ["table", "component"])
+    @pytest.mark.parametrize("before", ["absent", "torn"])
+    def test_published_record_survives_the_reader(
+        self, tmp_path, monkeypatch, kind, before
+    ):
+        reader = ExtensionCache(tmp_path)
+        writer = ExtensionCache(tmp_path)
+        path, publish, load, expected = self._coordinates(
+            kind, reader, writer
+        )
+        if before == "torn":
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write('{"fingerprint": "fe')
+        self._publish_after_read(monkeypatch, publish)
+        assert load() is None  # the reader saw the state before publish
+        assert reader.stats.invalidations == 0
+        assert os.path.exists(path)
+        monkeypatch.undo()
+        assert expected(load())
+
+    @pytest.mark.parametrize("kind", ["table", "component"])
+    def test_torn_record_without_a_writer_is_still_dropped(
+        self, tmp_path, kind
+    ):
+        reader = ExtensionCache(tmp_path)
+        path, _, load, _ = self._coordinates(kind, reader, reader)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write('{"fingerprint": "fe')
+        assert load() is None
+        assert reader.stats.invalidations == 1
+        assert not os.path.exists(path)
 
 
 class TestTwoProcessStoreRace:

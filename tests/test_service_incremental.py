@@ -13,7 +13,9 @@ import os
 import numpy as np
 import pytest
 
+import repro.core.extension as extension_module
 from repro.__main__ import main
+from repro.core.extension import extension_for
 from repro.graphs.compact import CompactGraph
 from repro.service import ReleaseSession
 from repro.service.cache import (
@@ -206,6 +208,212 @@ class TestSessionPromotion:
     def test_component_memo_size_validated(self):
         with pytest.raises(ValueError):
             ReleaseSession(component_memo_size=0)
+
+
+# ----------------------------------------------------------------------
+# Promotion scope: only components the repair/LP path could value
+# ----------------------------------------------------------------------
+_COMMUNITIES = (range(0, 12), range(12, 24))
+
+
+def _dust_and_communities() -> CompactGraph:
+    """Two dense 12-vertex communities, dust trees (stars, paths, single
+    edges), a triangle, a 5-cycle and isolated vertices: only the
+    communities and the two cycles are non-trees."""
+    rng = np.random.default_rng(23)
+    edges = [
+        (c[i], c[j])
+        for c in _COMMUNITIES
+        for i in range(12)
+        for j in range(i + 1, 12)
+        if rng.random() < 0.5
+    ]
+    edges += [(24, 25), (24, 26), (24, 27)]  # star
+    edges += [(28, 29), (29, 30), (30, 31)]  # path
+    edges += [(32, 33), (32, 34), (35, 36)]  # star, single edge
+    edges += [(37, 38), (38, 39), (40, 41)]  # path, single edge
+    edges += [(42, k) for k in range(43, 47)]  # star
+    edges += [(47, 48), (48, 49), (47, 49)]  # triangle
+    edges += [(50, 51), (51, 52), (52, 53), (53, 54), (50, 54)]  # 5-cycle
+    return CompactGraph.from_edges(58, edges)
+
+
+def _community_edge(graph: CompactGraph, community) -> tuple[int, int]:
+    u, v = graph.edge_arrays()
+    inside = np.isin(u, list(community)) & np.isin(v, list(community))
+    k = int(np.flatnonzero(inside)[0])
+    return int(u[k]), int(v[k])
+
+
+def _mixed_stream(graph: CompactGraph, options: dict) -> list[str]:
+    """Releases across dust-only, community and cycle-closing edits."""
+    def release(i, name, epsilon):
+        return {"id": f"q{i}", "estimator": name, "epsilon": epsilon,
+                "seed": 40 + i, "options": options}
+
+    events = [
+        release(0, "cc", 1.0),
+        release(1, "sf", 0.5),
+        {"id": "e1", "edits": [["+", 27, 28], ["-", 40, 41]]},
+        release(2, "cc", 1.0),
+        release(3, "sf", 2.0),
+        {"id": "e2", "edits": [["+", 5, 24]]},
+        release(4, "sf", 1.0),
+        {"id": "e3", "edits": [["+", 37, 39]]},
+        release(5, "cc", 0.5),
+        {"id": "e4",
+         "edits": [["-", *_community_edge(graph, _COMMUNITIES[1])]]},
+        release(6, "cc", 1.0),
+    ]
+    return [json.dumps(e) for e in events]
+
+
+class TestPromotionCandidates:
+    """``candidate_fingerprints(grid)`` names exactly the components a
+    cold ``values_for_grid(grid)`` hands to ``_component_value``."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"batched_certificates": False}, {"use_fast_paths": False}],
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        [[1, 2, 4, 8], [2, 4], [0.5, 1, 2], [1.5, 3], [3.0]],
+    )
+    def test_candidates_are_the_components_that_reach_repair_or_lp(
+        self, options, grid
+    ):
+        graph = _dust_and_communities().apply_edits(
+            inserts=[(5, 24), (30, 37)]
+        ).graph
+        extension = extension_for(graph, **options)
+        candidates = extension.candidate_fingerprints(grid)
+        reached = set()
+        real = extension._component_value
+
+        def spy(i, delta):
+            reached.add(i)
+            return real(i, delta)
+
+        extension._component_value = spy
+        extension.values_for_grid(grid)
+        assert reached == set(candidates)
+        assert {fp for fp, _ in extension.export_component_tables()} == set(
+            candidates.values()
+        )
+
+    def test_default_grid_candidates_are_the_non_trees(self):
+        graph = _dust_and_communities()
+        extension = extension_for(graph)
+        candidates = extension.candidate_fingerprints([1, 2, 4, 8, 16, 32])
+        fingerprints = graph.component_fingerprints()
+        non_trees = {
+            fingerprints[int(min(c))]
+            for c in (*_COMMUNITIES, range(47, 50), range(50, 55))
+        }
+        assert set(candidates.values()) == non_trees
+
+
+class TestPromotionScope:
+    def test_one_release_promotes_exactly_the_communities(self):
+        graph = _dust_and_communities().apply_edits(
+            deletes=[(47, 48), (50, 51)]  # open both cycles into paths
+        ).graph
+        session = ReleaseSession()
+        _release_value(session, graph, seed=1)
+        assert session.stats.component_promotions == 2
+
+    def test_dust_edit_fingerprints_only_candidates(self, monkeypatch):
+        graph = _dust_and_communities()
+        session = ReleaseSession()
+        _release_value(session, graph, seed=1)
+        hashed = []
+        real = extension_module.component_fingerprint
+
+        def spy(n, u, v):
+            hashed.append((int(n), int(u.size)))
+            return real(n, u, v)
+
+        monkeypatch.setattr(extension_module, "component_fingerprint", spy)
+        edited = graph.apply_edits(
+            inserts=[(27, 28)], deletes=[(40, 41)]
+        ).graph
+        warm_value = _release_value(session, edited, seed=2)
+        # The two communities and the two cycles, nothing else: every
+        # hashed component has at least as many edges as vertices.
+        assert len(hashed) == 4
+        assert all(m >= n for n, m in hashed)
+        assert session.stats.component_hits == 4
+        assert session.stats.component_misses == 0
+        cold = ReleaseSession(component_promotion=False)
+        assert warm_value == _release_value(cold, edited, seed=2)
+
+
+class TestPromotionDifferential:
+    """A promoting session and a ``component_promotion=False`` session
+    serve the same edit stream to identical records."""
+
+    @staticmethod
+    def _serve_both(lines, base, promoting, **session_options):
+        cold = ReleaseSession(component_promotion=False, **session_options)
+        warm_records = list(serve_edit_stream(lines, promoting, base))
+        assert warm_records == list(serve_edit_stream(lines, cold, base))
+        assert not any("error" in record for record in warm_records)
+        assert promoting.stats.component_hits > 0
+
+    def test_memo_only(self):
+        base = _dust_and_communities()
+        self._serve_both(_mixed_stream(base, {}), base, ReleaseSession())
+
+    def test_cache_dir_and_fresh_session_warm_start(self, tmp_path):
+        base = _dust_and_communities()
+        self._serve_both(
+            _mixed_stream(base, {}), base, ReleaseSession(cache_dir=tmp_path)
+        )
+        # A new process on the same directory, on versions it never saw.
+        restart = ReleaseSession(cache_dir=tmp_path)
+        lines = [
+            json.dumps({"id": "e9", "edits": [["+", 31, 32]]}),
+            json.dumps({"id": "q9", "estimator": "cc", "epsilon": 1.0,
+                        "seed": 9}),
+        ]
+        self._serve_both(lines, base, restart)
+        assert restart.stats.disk_warm_starts == 0
+        assert restart.cache.stats.component_hits > 0
+
+    @staticmethod
+    def _default_promotions(lines, base) -> int:
+        session = ReleaseSession()
+        list(serve_edit_stream(lines, session, base))
+        return session.stats.component_promotions
+
+    def test_unbatched_trees_are_candidates(self):
+        options = {"batched_certificates": False}
+        base = _dust_and_communities()
+        lines = _mixed_stream(base, {})
+        promoting = ReleaseSession(extension_options=options)
+        self._serve_both(lines, base, promoting, extension_options=options)
+        # Trees with max degree >= 2 now reach repair, so they are
+        # promoted too.
+        assert promoting.stats.component_promotions > self._default_promotions(
+            lines, base
+        )
+
+    def test_without_fast_paths(self):
+        options = {"use_fast_paths": False}
+        base = _dust_and_communities()
+        lines = _mixed_stream(base, options)
+        promoting = ReleaseSession(extension_options=options)
+        self._serve_both(lines, base, promoting, extension_options=options)
+        assert promoting.stats.component_promotions > self._default_promotions(
+            _mixed_stream(base, {}), base
+        )
+
+    def test_non_default_delta_max_grid(self):
+        options = {"delta_max": 6}
+        base = _dust_and_communities()
+        promoting = ReleaseSession()
+        self._serve_both(_mixed_stream(base, options), base, promoting)
 
 
 # ----------------------------------------------------------------------
