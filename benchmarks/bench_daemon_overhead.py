@@ -1,14 +1,14 @@
 """E13 — Durable daemon serving overhead on the warm path.
 
-The PR-6 tentpole wraps the amortized :class:`ReleaseSession` hot path
-in a long-lived HTTP daemon that additionally pays, per release, one
-fsync'd audit append plus one atomic account write.  This benchmark
+The daemon wraps the amortized :class:`ReleaseSession` hot path in a
+long-lived HTTP server that additionally pays, per release, one fsync'd
+audit append — its only durable write; the tenant's account is charged
+in memory and rebuilt from the audit log at startup.  This benchmark
 pins that the durability tax stays bounded: after the first (cold)
 request warms the extension table, the mean end-to-end latency of a
 daemon release — HTTP framing, admission control, GEM + Laplace, audit
-fsync, account rename — must stay under a wall-clock ceiling, and the
-responses must carry exactly the budget arithmetic the in-process
-accountant would.
+fsync — must stay under a wall-clock ceiling, and the responses must
+carry exactly the budget arithmetic the in-process accountant would.
 
 The ceiling is deliberately generous (these are real fsyncs): locally
 50 ms/request; CI relaxes via ``REPRO_BENCH_MAX_DAEMON_MS`` because

@@ -12,9 +12,11 @@ Subcommands
                  restarts; ``--workers N`` shards requests across
                  processes by graph fingerprint (byte-identical output
                  for any worker count).
-``serve``        Long-lived multi-tenant HTTP release daemon: durable
-                 per-tenant ε budget accounts (survive ``kill -9``),
-                 an fsync'd append-only audit log, and structured
+``serve``        Long-lived multi-tenant HTTP release daemon: per-tenant
+                 ε budgets, an fsync'd append-only audit log that is the
+                 durable ledger of ε spent (one durable write per
+                 release; accounts are rebuilt from it at startup, so
+                 spent ε survives ``kill -9`` exactly), and structured
                  admission-control rejections.  ``serve-batch`` stays
                  the offline path.
 ``profile``      Run one release under span tracing and print a
@@ -266,8 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--state-dir",
         required=True,
-        help="durable state root: per-tenant budget accounts "
-        "(accounts/<tenant>.json) and the audit log (audit.jsonl); "
+        help="durable state root: per-tenant budgets "
+        "(accounts/<tenant>.json, written once at provisioning) and the "
+        "fsync'd audit log (audit.jsonl), which records every release "
+        "and is the only ledger of epsilon spent (replayed at startup); "
         "holds privacy-critical accounting state — permission it "
         "accordingly",
     )
@@ -773,17 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if daemon.healed_at_startup:
-        # A previous process died between the audit append and the
-        # account write; the gap was force-spent at open.
-        print(
-            "repro serve: reconciled accounts from audit log: "
-            + ", ".join(
-                f"{tenant} (+{gap:g} eps)"
-                for tenant, gap in sorted(daemon.healed_at_startup.items())
-            ),
-            file=sys.stderr,
-        )
 
     async def _run() -> int:
         ready = asyncio.Event()

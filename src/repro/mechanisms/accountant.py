@@ -23,10 +23,13 @@ Durability
 ----------
 The full accounting state round-trips through
 :meth:`PrivacyAccountant.to_dict` / :meth:`PrivacyAccountant.from_dict`
-(and the JSON twins), so a durable ledger — like the serving daemon's
-per-tenant budget accounts — can persist an accountant and restore it
-bit-for-bit after a restart: the ledger is replayed through the same
-compensated summation on load.
+(and the JSON twins): the ledger is replayed through the same
+compensated summation on load, so the restored total is bit-for-bit
+the saved one.  The serving daemon persists no accountant at all: its
+audit log records every release, and at startup each tenant's
+accountant is rebuilt by spending the audited amounts, in order, with
+``spend(..., force=True)`` — the same accumulation the live spends
+made, so the result is bit-for-bit identical too.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ class PrivacyAccountant:
         total.
 
         ``force=True`` records the spend without the admission check.
-        It exists for durable-ledger *reconciliation* (replaying an
-        audit log over a stale account after a crash must reproduce
-        history, not re-adjudicate it), never for serving new requests.
+        It exists for *replaying* a durable ledger — the serving daemon
+        rebuilds each tenant's accountant from its audit log at startup,
+        which must reproduce history, not re-adjudicate it — never for
+        serving new requests.
         """
         if not force and not self.can_spend(epsilon):
             raise BudgetExceededError(

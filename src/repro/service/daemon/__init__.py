@@ -3,11 +3,13 @@
 Promotes the privacy accountant from in-process batch state to a
 first-class durable object behind a long-lived asyncio HTTP server:
 
-* :mod:`.accounts` — per-tenant ε budget accounts persisted with the
-  :mod:`repro.storage` atomic-write discipline (spend survives
-  ``kill -9`` exactly);
-* :mod:`.audit` — fsync'd append-only JSONL log of every release,
-  replayable into per-tenant composition totals;
+* :mod:`.accounts` — per-tenant ε budgets, one file each written once
+  at provisioning with the :mod:`repro.storage` atomic-write
+  discipline, and the in-memory accountants charged per release;
+* :mod:`.audit` — fsync'd append-only JSONL log of every release: the
+  one durable write of a release and the only durable ledger of ε
+  spent.  Startup replays it into every tenant's accountant, so spent
+  ε survives ``kill -9`` exactly;
 * :mod:`.http` — minimal stdlib HTTP/1.1 framing;
 * :mod:`.app` — :class:`ReleaseDaemon`: routing, admission control
   (structured machine-readable rejections), and the serving hot path

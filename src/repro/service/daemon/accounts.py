@@ -1,35 +1,32 @@
-"""Durable per-tenant privacy-budget accounts.
+"""Per-tenant privacy budgets.
 
 The serving daemon's answer to the ``--total-epsilon`` serial-only
 limitation: instead of one in-process accountant that dies with the
 batch, every tenant owns a :class:`BudgetAccount` — a
 :class:`~repro.mechanisms.accountant.PrivacyAccountant` plus identity
-metadata — persisted as one JSON file under the daemon's state
-directory via the shared :func:`repro.storage.atomic_write_json`
-discipline.  A ``kill -9`` at any instant leaves either the previous
-account state or the new one, never a torn file, so ε spent **survives
-restarts exactly**.
+metadata.  The account file holds the **budget only**, written once at
+provisioning through :func:`repro.storage.atomic_write_json` (a
+``kill -9`` leaves no file or the whole file, never a torn one).  The ε
+a tenant has spent lives in the daemon's audit log
+(:mod:`repro.service.daemon.audit`): at startup
+:meth:`AccountStore.restore` loads every account and charges it with
+the tenant's audited releases, so ε spent **survives restarts
+exactly** without any per-release account write.
 
 Layout::
 
     <state-dir>/accounts/<tenant>.json
-        {"tenant": ..., "account": <PrivacyAccountant.to_dict()>,
-         "created_at": ..., "updated_at": ...}
+        {"tenant": ..., "total_epsilon": ..., "created_at": ...}
+
+A legacy account file that still carries its ledger
+(``{"tenant", "account": <PrivacyAccountant.to_dict()>, "created_at",
+"updated_at"}``) is read for its budget only.  Its ledger is checked,
+never charged: if it records more ε than the tenant's audit records,
+:meth:`AccountStore.restore` refuses to start rather than under-count.
 
 Tenant names are restricted to a filesystem-safe alphabet
 (:data:`TENANT_NAME_PATTERN`) so a tenant id can never escape the
 accounts directory or collide with another's file.
-
-Crash-window reconciliation
----------------------------
-A release is committed in two durable steps: audit-log append first,
-account write second (see :mod:`repro.service.daemon.app`).  A crash
-between them leaves the audit log one record ahead of the account.
-:meth:`AccountStore.reconcile_with_audit` closes that window at
-startup: any tenant whose audit total exceeds their account's recorded
-spend gets the difference force-spent under an ``audit-reconcile``
-label — the conservative direction (never *under*-count ε against a
-budget).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ...mechanisms.accountant import PrivacyAccountant
 from ...storage import atomic_write_json, read_json_or_none
@@ -56,11 +53,11 @@ __all__ = [
 # no leading dot (hidden files / ``..`` traversal).
 TENANT_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
-# Relative tolerance when comparing an audit-replay total against an
-# account's recorded spend: both are sums of the same ledger amounts
-# (compensated on one side, fsum on the other), so any true difference
-# from a crash window is a whole ε step, orders of magnitude above this.
-_RECONCILE_RTOL = 1e-9
+# Relative tolerance when comparing a legacy account file's ledger
+# against the tenant's audit total: both are sums of the same amounts
+# (compensated on both sides), so any true excess is a whole ε step,
+# orders of magnitude above this.
+_LEGACY_RTOL = 1e-9
 
 
 class InvalidTenantError(ValueError):
@@ -73,35 +70,42 @@ class AccountExistsError(RuntimeError):
 
 @dataclass
 class BudgetAccount:
-    """One tenant's durable ε ledger."""
+    """One tenant's budget and its in-memory ε ledger."""
 
     tenant: str
     accountant: PrivacyAccountant
     created_at: float
-    updated_at: float
 
     def to_record(self) -> dict:
-        """The on-disk JSON shape."""
+        """The on-disk JSON shape: the budget, no ledger."""
         return {
             "tenant": self.tenant,
-            "account": self.accountant.to_dict(),
+            "total_epsilon": self.accountant.total_epsilon,
             "created_at": self.created_at,
-            "updated_at": self.updated_at,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "BudgetAccount":
-        """Rebuild from :meth:`to_record` output; raises ``ValueError``
-        on a malformed record."""
+        """Rebuild from :meth:`to_record` output, or from a legacy
+        record's budget, with nothing spent; raises ``ValueError`` on a
+        malformed record."""
         if not isinstance(record, dict) or not isinstance(
             record.get("tenant"), str
         ):
             raise ValueError(f"malformed account record: {record!r}")
+        if "account" in record:  # legacy file: budget inside its ledger
+            total = PrivacyAccountant.from_dict(record["account"]).total_epsilon
+        else:
+            try:
+                total = float(record["total_epsilon"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed account record: {record!r}"
+                ) from exc
         return cls(
             tenant=record["tenant"],
-            accountant=PrivacyAccountant.from_dict(record.get("account")),
+            accountant=PrivacyAccountant(total),
             created_at=float(record.get("created_at", 0.0)),
-            updated_at=float(record.get("updated_at", 0.0)),
         )
 
     def summary(self) -> dict:
@@ -114,7 +118,6 @@ class BudgetAccount:
             "remaining": acct.remaining(),
             "releases": len(acct.ledger()),
             "created_at": self.created_at,
-            "updated_at": self.updated_at,
         }
 
 
@@ -130,12 +133,12 @@ def validate_tenant(tenant: object) -> str:
 
 
 class AccountStore:
-    """Directory of per-tenant :class:`BudgetAccount` files.
+    """Directory of per-tenant budget files plus the in-memory accounts.
 
     The daemon is the single writer (accounts are mutated only under
-    its serving lock); reads go through a small in-memory map so a hot
-    tenant costs no disk I/O on admission — the disk copy is refreshed
-    on every successful spend via :meth:`save`.
+    its serving lock).  A file is written once, when its tenant is
+    provisioned; spends only touch the in-memory accountant, whose
+    durable record is the audit log.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -176,6 +179,52 @@ class AccountStore:
         self._loaded[tenant] = account
         return account
 
+    def restore(
+        self, ledgers: Mapping[str, Sequence[tuple[str, float]]]
+    ) -> None:
+        """Load every account and charge it with its audited spends.
+
+        Called once, on a fresh store, at daemon startup.  ``ledgers``
+        maps a tenant to the ``(label, ε)`` of its audited private
+        releases in ``seq`` order
+        (:attr:`~repro.service.daemon.audit.AuditLog.startup_ledgers`).
+        Each is spent with ``force=True`` — the replay reproduces
+        history, it does not re-adjudicate it — so ``spent()`` and
+        ``ledger()`` equal those of the accountant that served them.
+
+        Raises ``ValueError`` naming the tenant when the audit log
+        charges a tenant that has no account, or when a legacy account
+        file's ledger records more ε than the tenant's audit records:
+        starting would under-count ε.
+        """
+        for tenant in self.tenants():
+            record = read_json_or_none(self.path_for(tenant))
+            if record is None:
+                continue
+            account = BudgetAccount.from_record(record)
+            acct = account.accountant
+            for label, amount in ledgers.get(tenant, ()):
+                acct.spend(amount, label, force=True)
+            if "account" in record:
+                recorded = PrivacyAccountant.from_dict(
+                    record["account"]
+                ).spent()
+                if recorded - acct.spent() > _LEGACY_RTOL * max(
+                    acct.total_epsilon, 1.0
+                ):
+                    raise ValueError(
+                        f"tenant {tenant!r}: legacy account file records "
+                        f"{recorded} ε spent but the audit log only "
+                        f"{acct.spent()}; refusing to under-count ε"
+                    )
+            self._loaded[tenant] = account
+        for tenant in ledgers:
+            if tenant not in self._loaded:
+                raise ValueError(
+                    f"tenant {tenant!r} has audited releases but no "
+                    "account file; refusing to under-count ε"
+                )
+
     def create(self, tenant: str, total_epsilon: float) -> BudgetAccount:
         """Provision a fresh account; raises
         :class:`AccountExistsError` if the tenant already has one."""
@@ -184,12 +233,10 @@ class AccountStore:
             raise AccountExistsError(
                 f"tenant {tenant!r} already has an account"
             )
-        now = time.time()
         account = BudgetAccount(
             tenant=tenant,
             accountant=PrivacyAccountant(total_epsilon),
-            created_at=now,
-            updated_at=now,
+            created_at=time.time(),
         )
         self.save(account)
         return account
@@ -209,37 +256,7 @@ class AccountStore:
         return self.create(tenant, default_total_epsilon)
 
     def save(self, account: BudgetAccount) -> None:
-        """Atomically persist ``account`` (crash leaves old or new
-        state, never a torn file)."""
-        account.updated_at = time.time()
+        """Atomically persist ``account``'s budget (crash leaves old or
+        new state, never a torn file)."""
         atomic_write_json(self.path_for(account.tenant), account.to_record())
         self._loaded[account.tenant] = account
-
-    def reconcile_with_audit(
-        self, audit_totals: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Heal accounts that lag the audit log after a crash.
-
-        For every tenant whose audit-replay ε total exceeds the spend
-        recorded in their account (the release was audited but the
-        account write never landed), force-spend the difference under
-        an ``audit-reconcile`` ledger label and persist.  Returns
-        ``{tenant: healed_epsilon}`` for the accounts that needed it.
-        """
-        healed: dict[str, float] = {}
-        for tenant, audit_total in audit_totals.items():
-            account = self.get(tenant)
-            if account is None:
-                # An audit record can only follow account creation, so
-                # this means the accounts directory was damaged out of
-                # band; nothing safe to heal into.
-                continue
-            gap = audit_total - account.accountant.spent()
-            if gap <= _RECONCILE_RTOL * max(
-                account.accountant.total_epsilon, 1.0
-            ):
-                continue
-            account.accountant.spend(gap, "audit-reconcile", force=True)
-            self.save(account)
-            healed[tenant] = gap
-        return healed

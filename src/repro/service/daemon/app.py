@@ -8,20 +8,27 @@ Layering (route → service → tracked cost → durable storage):
   releases through the shared
   :class:`~repro.service.session.ReleaseSession` /
   :class:`~repro.service.cache.ExtensionCache` hot path;
-* every successful release is charged against the tenant's durable
-  :class:`~repro.service.daemon.accounts.BudgetAccount` and recorded in
-  the fsync'd append-only :class:`~repro.service.daemon.audit.AuditLog`.
+* every successful release is recorded in the fsync'd append-only
+  :class:`~repro.service.daemon.audit.AuditLog` and then charged to the
+  tenant's in-memory
+  :class:`~repro.service.daemon.accounts.BudgetAccount`.
 
 Commit order for one release (all under the serving lock)::
 
     admission check  →  compute release  →  audit append (fsync)
-                     →  account spend + atomic write  →  respond
+                     →  in-memory spend  →  respond
 
-A ``kill -9`` anywhere in that sequence leaves the state dir
-consistent: before the audit append nothing was spent and nothing was
-released to the client; between audit append and account write the
-startup reconciliation force-spends the audited ε into the account
-(the conservative direction — ε is never under-counted).
+The audit append is the release's only durable write, and the audit
+log is the only durable record of ε spent: at startup every tenant's
+accountant is rebuilt from it
+(:meth:`~repro.service.daemon.accounts.AccountStore.restore`).  So a
+``kill -9`` anywhere in that sequence leaves nothing to reconcile:
+before the append completes nothing was spent or released, and after it
+the restart charges the release exactly as the live spend would have
+(the conservative direction when the client never saw the response — ε
+is never under-counted).  A failed append leaves the log unchanged and
+answers ``internal_error``; nothing is charged, live or after a
+restart.
 
 Endpoints
 ---------
@@ -49,6 +56,7 @@ import asyncio
 import os
 import threading
 import time
+import traceback
 from typing import Any, Mapping, Optional
 
 from ... import telemetry
@@ -62,7 +70,7 @@ from .accounts import (
     InvalidTenantError,
     validate_tenant,
 )
-from .audit import AuditLog
+from .audit import AuditLog, release_label
 from .http import (
     HttpProtocolError,
     HttpRequest,
@@ -110,8 +118,7 @@ _EPSILON = telemetry.counter(
 )
 _LATENCY = telemetry.histogram(
     "repro_daemon_request_seconds",
-    "End-to-end release latency (compute + audit fsync + account "
-    "write), by tenant",
+    "End-to-end release latency (compute + audit fsync), by tenant",
     labels=("tenant",),
 )
 _ERRORS = telemetry.counter(
@@ -134,9 +141,12 @@ class ReleaseDaemon:
     Parameters
     ----------
     state_dir:
-        Durable root: ``accounts/`` (per-tenant budget files) and
-        ``audit.jsonl`` (append-only release log) live here.  Holds
-        privacy-critical accounting state — permission it accordingly.
+        Durable root: ``accounts/`` (per-tenant budget files, written
+        once at provisioning) and ``audit.jsonl`` (append-only release
+        log, the ε ledger) live here.  Holds privacy-critical accounting
+        state — permission it accordingly.  Raises ``ValueError`` if
+        the state would under-count a tenant's ε (see
+        :meth:`~repro.service.daemon.accounts.AccountStore.restore`).
     default_tenant_budget:
         When set, a tenant seen for the first time is auto-provisioned
         with this total ε; when ``None``, unknown tenants are rejected
@@ -172,11 +182,11 @@ class ReleaseDaemon:
         os.makedirs(self.state_dir, exist_ok=True)
         self.accounts = AccountStore(os.path.join(self.state_dir, "accounts"))
         self.audit = AuditLog(os.path.join(self.state_dir, "audit.jsonl"))
-        # Close the two-step commit's crash window before serving
-        # anything: accounts that lag the audit log are healed up.
-        self.healed_at_startup = self.accounts.reconcile_with_audit(
-            self.audit.startup_summary.epsilon_by_tenant
-        )
+        try:
+            self.accounts.restore(self.audit.startup_ledgers)
+        except BaseException:
+            self.audit.close()
+            raise
         self._default_tenant_budget = default_tenant_budget
         self._allow_non_private = allow_non_private
         self.session = ReleaseSession(
@@ -230,6 +240,7 @@ class ReleaseDaemon:
                 try:
                     status, body = await self._route(request)
                 except Exception as exc:  # noqa: BLE001 - daemon never dies
+                    traceback.print_exc()
                     status, body = _error_body(
                         "internal_error", f"{type(exc).__name__}: {exc}"
                     )
@@ -339,7 +350,6 @@ class ReleaseDaemon:
             "requests_rejected": self.requests_rejected,
             "next_audit_seq": self.audit.next_seq,
             "tenants": self.accounts.tenants(),
-            "healed_at_startup": self.healed_at_startup,
             "session": self.session.stats.to_dict(),
         }
 
@@ -485,15 +495,15 @@ class ReleaseDaemon:
                     "invalid_request", str(exc), tenant, request_id
                 )
             except Exception as exc:  # noqa: BLE001 - daemon never dies
+                traceback.print_exc()
                 return self._reject(
                     "internal_error",
                     f"{type(exc).__name__}: {exc}",
                     tenant, request_id,
                 )
 
-            # Durable commit: audit first (fsync'd), account second
-            # (atomic replace).  Startup reconciliation heals the
-            # in-between crash window — see the module docstring.
+            # The one durable write: the audit log is the ε ledger (see
+            # the module docstring).  If it raises, nothing is charged.
             self.audit.append_release(
                 tenant=tenant,
                 request_id=request_id if request_id is not None else seq,
@@ -505,9 +515,8 @@ class ReleaseDaemon:
             if epsilon is not None:
                 account.accountant.spend(
                     epsilon,
-                    f"{name}@{str(response.get('fingerprint'))[:12]}#{seq}",
+                    release_label(name, response.get("fingerprint"), seq),
                 )
-            self.accounts.save(account)
             self.releases_served += 1
             elapsed = time.perf_counter() - request_started
             _RELEASES.inc(tenant=tenant)

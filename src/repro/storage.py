@@ -24,10 +24,12 @@ discipline, implemented here exactly once:
 Alongside the replace-whole-record stores there is one **append-only**
 primitive, :class:`JsonlLogWriter` (used by the serving daemon's audit
 log): records are single JSON lines appended to an always-growing file,
-each flushed and fsynced before the append returns, so a kill at any
-instant loses at most the one record being written — and that record
-only ever as a *torn final line*, which :func:`read_jsonl_records`
-tolerates (a torn line anywhere *else* means foreign damage and raises).
+each fsynced before the append returns, so a kill at any instant loses
+at most the one record being written — and that record only ever as a
+*torn final line*, which :func:`read_jsonl_records` tolerates (a torn
+line anywhere *else* means foreign damage and raises).  An append that
+fails while the process lives (ENOSPC, EIO) is undone: the file is
+truncated back to its size before the append.
 
 This module sits below every layer and imports nothing from the
 package, so any subsystem can depend on it without cycles.
@@ -194,16 +196,26 @@ class JsonlLogWriter:
     The durable twin of :func:`atomic_write_json` for *growing* data:
     where the atomic writer replaces a whole record, this appends one
     JSON line at a time to a single file and forces it to stable
-    storage (``flush`` + ``fsync``) before :meth:`append` returns.  A
+    storage (``fsync``) before :meth:`append` returns.  A
     ``kill -9`` therefore loses at most the record currently being
     written, and only ever as an incomplete final line — never a hole
     in the middle of the log.
 
-    The file handle stays open across appends (one ``open`` per process
+    The file stays open across appends (one ``open`` per process
     lifetime, not per record); use as a context manager or call
     :meth:`close`.  One writer per file: append-only logs are
     single-owner by design (the serving daemon holds its audit log
     exclusively), concurrent writers would interleave partial lines.
+
+    **A failed append leaves the file as it was.**  A write or fsync
+    that raises (ENOSPC after a short write, EIO from fsync) makes
+    :meth:`append` truncate the file back to its size before the
+    append, so the caller — told the record failed — never finds it, or
+    a fragment of it, in the log later.  Bytes go straight to the file
+    descriptor, so no user-space buffer can replay them into the next
+    append.  If the truncate fails too, the writer closes itself:
+    :attr:`closed` turns true and every later append raises, rather
+    than glue a record onto a fragment.
 
     Opening **repairs a torn tail**: a final line left incomplete (or
     undecodable, or blank) by a crash mid-append is truncated away, so
@@ -221,7 +233,8 @@ class JsonlLogWriter:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._truncate_torn_tail()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        # Unbuffered: append writes through os.write on its descriptor.
+        self._file = open(self.path, "ab", buffering=0)
 
     def _truncate_torn_tail(self) -> None:
         """Drop trailing lines that are not complete JSON records."""
@@ -262,22 +275,37 @@ class JsonlLogWriter:
                 size = line_start
 
     def append(self, record: dict) -> None:
-        """Durably append one record as a single JSON line."""
+        """Durably append one record as a single JSON line.
+
+        On any failure the file is truncated back to its size before
+        this call (see the class docstring) and the error re-raised.
+        """
         line = json.dumps(record, sort_keys=True)
         if "\n" in line:  # pragma: no cover - json.dumps never emits one
             raise ValueError("record serialized to more than one line")
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        fd = self._file.fileno()  # ValueError once closed
+        data = (line + "\n").encode("utf-8")
+        size = os.fstat(fd).st_size
+        try:
+            written = 0
+            while written < len(data):  # a regular file may write short
+                written += os.write(fd, data[written:])
+            os.fsync(fd)
+        except BaseException:
+            try:
+                os.ftruncate(fd, size)
+            except OSError:
+                self.close()
+            raise
 
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` already ran (appends would fail)."""
-        return self._handle.closed
+        """Whether the writer is closed (appends would fail): by
+        :meth:`close`, or by a failed append it could not undo."""
+        return self._file.closed
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._file.close()
 
     def __enter__(self) -> "JsonlLogWriter":
         return self

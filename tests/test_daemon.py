@@ -22,7 +22,6 @@ import pytest
 
 from repro.graphs.generators import planted_components_compact
 from repro.graphs.io import write_edge_list
-from repro.mechanisms.accountant import PrivacyAccountant
 from repro.service.daemon import (
     AccountExistsError,
     AccountStore,
@@ -32,7 +31,8 @@ from repro.service.daemon import (
     replay_audit,
 )
 from repro.service.daemon.accounts import validate_tenant
-from repro.service.daemon.audit import AuditRecordError
+from repro.service.batch import _RequestServer
+from repro.service.daemon.audit import AuditRecordError, release_label
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -78,16 +78,30 @@ class TestAccountStore:
     def test_create_get_and_durability(self, tmp_path):
         store = AccountStore(tmp_path / "accounts")
         account = store.create("acme", 2.0)
-        account.accountant.spend(0.5, "first")
-        store.save(account)
         # A brand-new store over the same directory (fresh process
-        # after a restart) sees the spend exactly.
+        # after a restart) sees the budget exactly.
         reopened = AccountStore(tmp_path / "accounts")
         loaded = reopened.get("acme")
         assert loaded is not None
-        assert loaded.accountant.spent() == account.accountant.spent()
-        assert loaded.accountant.ledger() == account.accountant.ledger()
+        assert loaded.accountant.total_epsilon == 2.0
+        assert loaded.created_at == account.created_at
+        assert loaded.accountant.ledger() == []
         assert reopened.tenants() == ["acme"]
+        # Spends survive through the audit log, which restore charges.
+        log = AuditLog(tmp_path / "audit.jsonl")
+        log.append_release(
+            tenant="acme", request_id="r0", estimator="cc",
+            epsilon=0.5, fingerprint="f" * 64, seq=0,
+        )
+        log.close()
+        account.accountant.spend(0.5, release_label("cc", "f" * 64, 0))
+        log = AuditLog(tmp_path / "audit.jsonl")
+        restarted = AccountStore(tmp_path / "accounts")
+        restarted.restore(log.startup_ledgers)
+        log.close()
+        rebuilt = restarted.get("acme").accountant
+        assert rebuilt.spent() == account.accountant.spent()
+        assert rebuilt.ledger() == account.accountant.ledger()
 
     def test_create_twice_refused(self, tmp_path):
         store = AccountStore(tmp_path)
@@ -106,32 +120,6 @@ class TestAccountStore:
         store.save(account)
         again = store.get_or_create("auto", 3.0)
         assert again.accountant.spent() == pytest.approx(1.0)
-
-    def test_reconcile_heals_audit_gap(self, tmp_path):
-        store = AccountStore(tmp_path)
-        account = store.create("acme", 2.0)
-        account.accountant.spend(0.5, "landed")
-        store.save(account)
-        # Audit says 0.9 was released but only 0.5 landed in the
-        # account (crash between audit append and account write).
-        healed = store.reconcile_with_audit({"acme": 0.9})
-        assert healed == {"acme": pytest.approx(0.4)}
-        assert store.get("acme").accountant.spent() == pytest.approx(0.9)
-        labels = [label for label, _ in store.get("acme").accountant.ledger()]
-        assert "audit-reconcile" in labels
-        # Idempotent: a second reconcile with the same totals heals
-        # nothing more.
-        assert store.reconcile_with_audit({"acme": 0.9}) == {}
-
-    def test_reconcile_ignores_unknown_and_in_sync(self, tmp_path):
-        store = AccountStore(tmp_path)
-        account = store.create("acme", 1.0)
-        account.accountant.spend(0.25)
-        store.save(account)
-        healed = store.reconcile_with_audit(
-            {"acme": 0.25, "never-provisioned": 9.0}
-        )
-        assert healed == {}
 
 
 class TestAuditLog:
@@ -220,6 +208,75 @@ class TestAuditLog:
         summary = replay_audit(tmp_path / "never-written.jsonl")
         assert summary.records == 0
         assert summary.last_seq == -1
+
+    def test_failed_append_does_not_consume_seq(self, tmp_path, io_fault):
+        """An append whose fsync fails leaves the log unchanged, so the
+        next release reuses the seq without logging it twice."""
+        from repro.storage import read_jsonl_records
+
+        path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
+
+        def append(epsilon):
+            log.append_release(
+                tenant="a", request_id=None, estimator="cc",
+                epsilon=epsilon, fingerprint=None, seq=log.allocate_seq(),
+            )
+
+        append(0.5)
+        before = path.read_bytes()
+        io_fault("fsync_eio")
+        with pytest.raises(OSError):
+            append(0.25)
+        assert path.read_bytes() == before
+        assert log.next_seq == 1
+        append(0.125)
+        log.close()
+        assert [r["seq"] for r in read_jsonl_records(path)] == [0, 1]
+        assert replay_audit(path).epsilon_by_tenant == {"a": 0.625}
+
+    def test_failed_undo_degrades_probe(self, tmp_path, io_fault):
+        log = AuditLog(tmp_path / "audit.jsonl")
+        assert log.probe() is None
+        io_fault("fsync_eio", undo_fails=True)
+        with pytest.raises(OSError):
+            log.append_release(
+                tenant="a", request_id=0, estimator="cc",
+                epsilon=0.5, fingerprint=None, seq=0,
+            )
+        assert "closed" in log.probe()
+        log.close()
+
+    def test_replay_sums_each_tenant_once(self, tmp_path, monkeypatch):
+        """Regression: replay re-ran ``math.fsum`` over all of a
+        tenant's amounts on every record, quadratic in the log length.
+        The totals are fsum over the same list, so unchanged."""
+        from types import SimpleNamespace
+
+        import repro.service.daemon.audit as audit_module
+
+        amounts = [(0.1, 0.25, 0.7)[i % 3] for i in range(10_000)]
+        path = tmp_path / "audit.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for seq, epsilon in enumerate(amounts):
+                handle.write(json.dumps({
+                    "kind": "release", "seq": seq, "tenant": "solo",
+                    "estimator": "cc", "epsilon": epsilon,
+                }) + "\n")
+        calls = []
+
+        def counting_fsum(values):
+            calls.append(1)
+            return math.fsum(values)
+
+        monkeypatch.setattr(
+            audit_module, "math", SimpleNamespace(fsum=counting_fsum)
+        )
+        summary = replay_audit(path)
+        assert len(calls) == 1
+        assert summary.epsilon_by_tenant == {"solo": math.fsum(amounts)}
+        assert summary.releases_by_tenant == {"solo": 10_000}
+        assert (summary.records, summary.last_seq) == (10_000, 9_999)
 
 
 class TestDaemonHttp:
@@ -375,7 +432,6 @@ class TestDaemonHttp:
 
         # Fresh daemon over the same state dir — a restart.
         daemon2 = ReleaseDaemon(state, default_tenant_budget=2.0)
-        assert daemon2.healed_at_startup == {}  # clean shutdown: no gap
         with daemon2.start_in_background() as handle:
             base = f"http://127.0.0.1:{handle.port}"
             status, after = _http("GET", f"{base}/v1/tenants/acme")
@@ -388,36 +444,257 @@ class TestDaemonHttp:
             assert reply["seq"] == 1
             assert reply["budget"]["spent"] == pytest.approx(1.5)
 
-    def test_startup_heals_audit_account_gap(self, tmp_path, graph_file):
-        """Simulated kill -9 between audit append and account write:
-        the next startup force-spends the audited ε into the account."""
+    def test_audited_release_counted_at_restart(self, tmp_path, graph_file):
+        """An audited release nobody spent live (kill -9 right after the
+        audit fsync) is counted at restart, under its live label."""
         state = tmp_path / "state"
         daemon = ReleaseDaemon(state, default_tenant_budget=2.0)
         with daemon.start_in_background() as handle:
             base = f"http://127.0.0.1:{handle.port}"
-            status, _ = _http("POST", f"{base}/v1/release", {
+            status, first = _http("POST", f"{base}/v1/release", {
                 "tenant": "acme", "estimator": "cc", "epsilon": 0.5,
                 "graph": graph_file, "seed": 1,
             })
             assert status == 200
+        fingerprint = first["fingerprint"]
+        live = daemon.accounts.get("acme").accountant.ledger()
+        assert live == [(f"cc@{fingerprint[:12]}#0", 0.5)]
 
-        # Rewind the *account* to its pre-spend state (what disk looks
-        # like when the crash lands after the audit fsync but before
-        # the account write).
-        store = AccountStore(state / "accounts")
-        account = store.get("acme")
-        rewound = PrivacyAccountant(account.accountant.total_epsilon)
-        account.accountant = rewound
-        store.save(account)
+        log = AuditLog(state / "audit.jsonl")
+        log.append_release(
+            tenant="acme", request_id="lost", estimator="sf",
+            epsilon=0.25, fingerprint=fingerprint, seq=log.allocate_seq(),
+        )
+        log.close()
 
         daemon2 = ReleaseDaemon(state, default_tenant_budget=2.0)
-        assert daemon2.healed_at_startup == {"acme": pytest.approx(0.5)}
-        healed = daemon2.accounts.get("acme").accountant
-        assert healed.spent() == pytest.approx(0.5)
-        assert [label for label, _ in healed.ledger()] == [
-            "audit-reconcile"
+        rebuilt = daemon2.accounts.get("acme").accountant
+        assert rebuilt.ledger() == live + [
+            (f"sf@{fingerprint[:12]}#1", 0.25)
         ]
+        assert rebuilt.spent() == 0.75
         daemon2.close()
+
+
+def _legacy_record(account):
+    """An account file in the format that also stored the ledger."""
+    return {
+        "tenant": account.tenant,
+        "account": account.accountant.to_dict(),
+        "created_at": account.created_at,
+        "updated_at": account.created_at,
+    }
+
+
+class TestAuditLedger:
+    """The audit log is the only durable ε ledger: one fsync per
+    release, accounts rebuilt from it at startup."""
+
+    def test_one_durable_write_per_release(
+        self, tmp_path, graph_file, monkeypatch
+    ):
+        releases = 6
+        fsyncs, saves = [], []
+        real_fsync, real_save = os.fsync, AccountStore.save
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return real_fsync(fd)
+
+        def counting_save(store, account):
+            saves.append(account.tenant)
+            return real_save(store, account)
+
+        daemon = ReleaseDaemon(tmp_path / "state")
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            status, _ = _http(
+                "PUT", f"{base}/v1/tenants/acme", {"total_epsilon": 10.0}
+            )
+            assert status == 201
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            monkeypatch.setattr(AccountStore, "save", counting_save)
+            for i in range(releases):
+                status, _ = _http("POST", f"{base}/v1/release", {
+                    "tenant": "acme", "estimator": ("cc", "sf")[i % 2],
+                    "epsilon": 0.5, "graph": graph_file, "seed": i,
+                })
+                assert status == 200
+            assert (len(saves), len(fsyncs)) == (0, releases)
+
+    def test_restart_rebuilds_identical_accounts(self, tmp_path, graph_file):
+        """A seeded mixed stream — cc/sf/edge_dp, several ε, over-budget
+        and invalid requests, a non-private release — then a fresh
+        daemon on the same directory: every account matches exactly."""
+        state = tmp_path / "state"
+        budgets = {"t0": 3.0, "t1": 2.5, "t2": 1.75}
+        rng = np.random.default_rng(17)
+        statuses = []
+        daemon = ReleaseDaemon(state, allow_non_private=True)
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            for tenant, budget in budgets.items():
+                status, _ = _http(
+                    "PUT", f"{base}/v1/tenants/{tenant}",
+                    {"total_epsilon": budget},
+                )
+                assert status == 201
+            stream = [
+                {
+                    "tenant": str(rng.choice(list(budgets))),
+                    "estimator": str(rng.choice(["cc", "sf", "edge_dp"])),
+                    "epsilon": float(rng.choice([0.1, 0.25, 0.3, 0.7])),
+                    "graph": graph_file,
+                    "seed": int(rng.integers(2**31)),
+                }
+                for _ in range(24)
+            ]
+            stream[5]["graph"] = graph_file + ".missing"
+            stream[9] = {"tenant": "t1", "estimator": "non_private",
+                         "graph": graph_file}
+            stream[14]["epsilon"] = 50.0
+            for request in stream:
+                status, body = _http("POST", f"{base}/v1/release", request)
+                statuses.append(status)
+        assert statuses[5] == 400 and statuses[9] == 200
+        assert statuses[14] == 429
+        served = {r["estimator"] for r, st in zip(stream, statuses)
+                  if st == 200}
+        assert served == {"cc", "sf", "edge_dp", "non_private"}
+        assert statuses.count(200) >= 12
+
+        restarted = ReleaseDaemon(state, allow_non_private=True)
+        for tenant in budgets:
+            live = daemon.accounts.get(tenant)
+            rebuilt = restarted.accounts.get(tenant)
+            assert rebuilt.accountant.ledger() == live.accountant.ledger()
+            assert rebuilt.accountant.spent() == live.accountant.spent()
+            assert (
+                rebuilt.accountant.remaining()
+                == live.accountant.remaining()
+            )
+            assert rebuilt.summary()["releases"] == live.summary()["releases"]
+        restarted.close()
+
+    def _serve_two_tenants(self, state, graph_file):
+        daemon = ReleaseDaemon(state, default_tenant_budget=4.0)
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            for i, (tenant, epsilon) in enumerate(
+                [("acme", 0.1), ("beta", 0.7), ("acme", 0.3), ("beta", 0.2)]
+            ):
+                status, _ = _http("POST", f"{base}/v1/release", {
+                    "tenant": tenant, "estimator": "cc",
+                    "epsilon": epsilon, "graph": graph_file, "seed": i,
+                })
+                assert status == 200
+        return {t: daemon.accounts.get(t) for t in ("acme", "beta")}
+
+    def test_legacy_state_directory(self, tmp_path, graph_file):
+        """Account files that still carry their ledger (the earlier
+        format) restart with identical spent ε and ledger; one whose
+        ledger lags the audit log takes the audit's."""
+        state = tmp_path / "state"
+        live = self._serve_two_tenants(state, graph_file)
+        for account in live.values():
+            record = _legacy_record(account)
+            if account.tenant == "beta":
+                record["account"]["ledger"].pop()  # crash before write
+            with open(state / "accounts" / f"{account.tenant}.json",
+                      "w", encoding="utf-8") as handle:
+                json.dump(record, handle, sort_keys=True)
+        restarted = ReleaseDaemon(state)
+        for tenant, account in live.items():
+            rebuilt = restarted.accounts.get(tenant).accountant
+            assert rebuilt.total_epsilon == 4.0
+            assert rebuilt.ledger() == account.accountant.ledger()
+            assert rebuilt.spent() == account.accountant.spent()
+        restarted.close()
+
+    def test_legacy_ledger_above_audit_fails_startup(
+        self, tmp_path, graph_file
+    ):
+        state = tmp_path / "state"
+        live = self._serve_two_tenants(state, graph_file)
+        record = _legacy_record(live["beta"])
+        record["account"]["ledger"].append({"label": "x", "epsilon": 0.5})
+        with open(state / "accounts" / "beta.json", "w",
+                  encoding="utf-8") as handle:
+            json.dump(record, handle)
+        with pytest.raises(ValueError, match="'beta'"):
+            ReleaseDaemon(state)
+
+    def test_audited_tenant_without_account_fails_startup(
+        self, tmp_path, graph_file
+    ):
+        state = tmp_path / "state"
+        self._serve_two_tenants(state, graph_file)
+        os.unlink(state / "accounts" / "acme.json")
+        with pytest.raises(ValueError, match="'acme'"):
+            ReleaseDaemon(state)
+
+    def test_failed_audit_append_charges_nothing(
+        self, tmp_path, graph_file, io_fault, capsys
+    ):
+        from repro.storage import read_jsonl_records
+
+        state = tmp_path / "state"
+        audit_path = state / "audit.jsonl"
+        release = {"tenant": "acme", "estimator": "cc", "epsilon": 0.5,
+                   "graph": graph_file}
+        daemon = ReleaseDaemon(state, default_tenant_budget=2.0)
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            status, _ = _http("POST", f"{base}/v1/release",
+                              {**release, "seed": 1})
+            assert status == 200
+            before = audit_path.read_bytes()
+            io_fault("fsync_eio")
+            status, body = _http("POST", f"{base}/v1/release",
+                                 {**release, "seed": 2})
+            assert status == 500
+            assert body["error"]["code"] == "internal_error"
+            assert audit_path.read_bytes() == before
+            status, account = _http("GET", f"{base}/v1/tenants/acme")
+            assert (account["spent"], account["releases"]) == (0.5, 1)
+            status, _ = _http("GET", f"{base}/healthz")
+            assert status == 200
+            status, ok = _http("POST", f"{base}/v1/release",
+                               {**release, "seed": 3})
+            assert status == 200
+            assert (ok["seq"], ok["budget"]["spent"]) == (1, 1.0)
+        assert "OSError: [Errno 5] injected EIO" in capsys.readouterr().err
+        live = daemon.accounts.get("acme").accountant
+        assert [r["seq"] for r in read_jsonl_records(audit_path)] == [0, 1]
+        restarted = ReleaseDaemon(state, default_tenant_budget=2.0)
+        rebuilt = restarted.accounts.get("acme").accountant
+        assert rebuilt.ledger() == live.ledger()
+        assert rebuilt.spent() == live.spent() == 1.0
+        restarted.close()
+
+    def test_internal_error_prints_traceback(
+        self, tmp_path, graph_file, monkeypatch, capsys
+    ):
+        class EstimatorCrash(Exception):
+            pass
+
+        def crash(server, request, index):
+            raise EstimatorCrash("boom")
+
+        monkeypatch.setattr(_RequestServer, "serve_request", crash)
+        daemon = ReleaseDaemon(tmp_path / "state", default_tenant_budget=1.0)
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            status, body = _http("POST", f"{base}/v1/release", {
+                "tenant": "acme", "estimator": "cc", "epsilon": 0.5,
+                "graph": graph_file, "seed": 1,
+            })
+        assert status == 500
+        assert body["error"]["code"] == "internal_error"
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "EstimatorCrash: boom" in err
+        assert daemon.accounts.get("acme").accountant.spent() == 0.0
 
 
 @pytest.mark.slow
@@ -511,15 +788,13 @@ class TestKillNineAcceptance:
             assert ok["budget"]["remaining"] == pytest.approx(0.0)
             assert ok["seq"] == 2  # sequence resumed, not reset
 
-            # Cross-check on disk: audit fsum equals the account's
-            # compensated ledger sum for every tenant.
+            # Cross-check: the on-disk audit fsum equals the restarted
+            # daemon's compensated spend for every tenant.
             summary = replay_audit(state / "audit.jsonl")
-            store = AccountStore(state / "accounts")
             for tenant, total in summary.epsilon_by_tenant.items():
-                ledger = store.get(tenant).accountant.ledger()
-                assert math.fsum(a for _, a in ledger) == pytest.approx(
-                    total, rel=1e-12
-                )
+                status, live = _http("GET", f"{base}/v1/tenants/{tenant}")
+                assert status == 200
+                assert live["spent"] == pytest.approx(total, rel=1e-12)
         finally:
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30.0)

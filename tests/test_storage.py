@@ -238,6 +238,41 @@ class TestJsonlLog:
             writer.append({"seq": 0})
         assert list(read_jsonl_records(torn_only)) == [{"seq": 0}]
 
+    @pytest.mark.parametrize("fault", ["fsync_eio", "short_write_enospc"])
+    def test_failed_append_leaves_file_unchanged(
+        self, tmp_path, io_fault, fault
+    ):
+        """A live I/O fault inside append leaves neither the record nor
+        a fragment of it: the caller was told the append failed, and
+        the next append must not glue onto leftover bytes."""
+        from repro.storage import JsonlLogWriter, read_jsonl_records
+
+        path = tmp_path / "log.jsonl"
+        writer = JsonlLogWriter(path)
+        writer.append({"seq": 0})
+        before = path.read_bytes()
+        io_fault(fault)
+        with pytest.raises(OSError):
+            writer.append({"seq": 1, "payload": "x" * 64})
+        assert path.read_bytes() == before
+        assert not writer.closed
+        writer.append({"seq": 1})
+        writer.close()
+        assert list(read_jsonl_records(path)) == [{"seq": 0}, {"seq": 1}]
+
+    def test_failed_undo_closes_writer(self, tmp_path, io_fault):
+        from repro.storage import JsonlLogWriter
+
+        writer = JsonlLogWriter(tmp_path / "log.jsonl")
+        writer.append({"seq": 0})
+        io_fault("fsync_eio", undo_fails=True)
+        with pytest.raises(OSError, match="injected"):
+            writer.append({"seq": 1})
+        assert writer.closed
+        with pytest.raises(ValueError, match="closed"):
+            writer.append({"seq": 2})
+        writer.close()  # idempotent
+
     def test_fsync_called_per_append(self, tmp_path, monkeypatch):
         from repro.storage import JsonlLogWriter
 
