@@ -38,6 +38,17 @@ Evaluators:
   forests, Kruskal pricing with an array union-find) providing the
   feasible lower bound and a Lagrangian upper bound.
 
+HiGHS runs three ways.  The cutting plane is warm-started: one
+:class:`_HighsModel` per call, each round appending only its newly
+violated forest rows and re-solving from the previous basis.  The
+column-generation master is solved cold, one :class:`_HighsModel` per
+solve, built from exactly the matrix, bounds and options
+``linprog(method="highs")`` would pass, so its floats are ``linprog``'s.
+The exhaustive LP calls :func:`scipy.optimize.linprog`.  The model
+class drives ``scipy.optimize._highspy._core._Highs``, a private scipy
+binding (tested with scipy 1.17.1): if it moves, importing this module
+fails.
+
 The combined ``auto`` logic — fast tree DP, exhaustive below
 :data:`EXACT_THRESHOLD`, certified sandwich above it with optional
 half-integral snapping — lives in :func:`solve_component`.  Snapping
@@ -55,6 +66,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .. import kernels, telemetry
@@ -121,6 +133,104 @@ def _as_edge_arrays(u, v) -> tuple[np.ndarray, np.ndarray]:
         np.ascontiguousarray(u, dtype=np.int64),
         np.ascontiguousarray(v, dtype=np.int64),
     )
+
+
+# ----------------------------------------------------------------------
+# One HiGHS model, held across solves
+# ----------------------------------------------------------------------
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    (
+        "simplex_strategy",
+        int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    ),
+)
+"""The options ``linprog(method="highs")`` passes to HiGHS: no output,
+presolve on, dual simplex (every other option at HiGHS' default)."""
+
+
+class _HighsSolution(NamedTuple):
+    """An optimal solve: objective, column values and row duals, as
+    ``linprog`` reports them (``fun``, ``x``, ``ineqlin``/``eqlin``
+    marginals)."""
+
+    fun: float
+    x: np.ndarray
+    row_dual: np.ndarray
+
+
+class _HighsModel:
+    """One LP ``min cost·x`` s.t. ``row_lower ≤ A x ≤ row_upper``,
+    ``lower ≤ x ≤ upper``, kept in one HiGHS object across solves.
+
+    The object is ``scipy.optimize._highspy._core._Highs``, the one
+    ``linprog(method="highs")`` builds per call, set up with
+    ``linprog``'s options and the column-wise matrix it passes, so a
+    single :meth:`solve` of a fresh model gives ``linprog``'s floats
+    without its per-call input checks.  :meth:`add_rows` keeps the last
+    basis valid, so the next :meth:`solve` restarts the dual simplex
+    from it (HiGHS skips presolve when it holds a basis).
+    """
+
+    def __init__(self, cost, lower, upper, matrix, row_lower, row_upper):
+        matrix = sparse.csc_array(matrix)
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = matrix.shape[1]
+        lp.num_row_ = lp.a_matrix_.num_row_ = matrix.shape[0]
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = cost
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        self._highs = _highs._Highs()
+        for option, value in _HIGHS_OPTIONS:
+            self._highs.setOptionValue(option, value)
+        self._check(self._highs.passModel(lp), "passModel")
+
+    def add_rows(self, matrix: sparse.csr_matrix, upper: np.ndarray) -> None:
+        """Append the rows ``matrix @ x ≤ upper``."""
+        count = matrix.shape[0]
+        self._check(
+            self._highs.addRows(
+                count,
+                np.full(count, -np.inf),
+                upper,
+                matrix.nnz,
+                matrix.indptr.astype(np.int32),
+                matrix.indices.astype(np.int32),
+                matrix.data,
+            ),
+            "addRows",
+        )
+
+    def solve(self) -> _HighsSolution:
+        """Run HiGHS (from the current basis, if any) to optimality."""
+        highs = self._highs
+        with telemetry.span("lp.highs"):
+            highs.run()
+        status = highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise ForestLPError(
+                f"HiGHS LP not optimal: model status "
+                f"{highs.modelStatusToString(status)} ({status.name})"
+            )
+        solution = highs.getSolution()
+        return _HighsSolution(
+            highs.getObjectiveValue(),
+            np.array(solution.col_value),
+            np.array(solution.row_dual),
+        )
+
+    @staticmethod
+    def _check(status, call: str) -> None:
+        if status == _highs.HighsStatus.kError:
+            raise ForestLPError(f"HiGHS {call} failed")
 
 
 # ----------------------------------------------------------------------
@@ -273,15 +383,16 @@ def _solve_component_uncached(
         return outer
     upper = outer.value + outer.gap
 
-    cg = column_generation_component(
-        n,
-        u,
-        v,
-        delta,
-        max_iterations=cg_max_iterations,
-        external_upper_bound=upper,
-        snap_half_integral=assume_half_integral,
-    )
+    with telemetry.span("lp.colgen"):
+        cg = column_generation_component(
+            n,
+            u,
+            v,
+            delta,
+            max_iterations=cg_max_iterations,
+            external_upper_bound=upper,
+            snap_half_integral=assume_half_integral,
+        )
     upper = min(upper, cg.value + cg.gap)
     lower = min(max(cg.value, 0.0), target)
     rounds = outer.lp_rounds + cg.lp_rounds
@@ -518,9 +629,10 @@ def exhaustive_component_value(
     )
     a_ub = sparse.vstack([forest_matrix, degree_matrix], format="csr")
     b_ub = np.concatenate([forest_rhs, degree_rhs])
-    solution = linprog(
-        -np.ones(m), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
-    )
+    with telemetry.span("lp.highs"):
+        solution = linprog(
+            -np.ones(m), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+        )
     if not solution.success:
         raise ForestLPError(
             f"exhaustive LP failed (status {solution.status}): {solution.message}"
@@ -778,43 +890,46 @@ def cutting_plane_component(
 ) -> CoreLPResult:
     """Lazy-constraint loop over the canonical arrays.
 
-    Oracle-certified feasibility gives an exact result; a stalled
-    objective or the round cap returns ``value = 0`` with ``gap`` set to
-    the last LP value (a pure outer bound for ``auto`` to refine), or
-    raises when ``strict``.
+    One HiGHS model per call: ``m`` columns in ``[0, 1]``, the ``n``
+    degree rows and the whole-vertex-set row.  Each round appends only
+    the newly violated forest rows and re-solves from the previous
+    basis.  Oracle-certified feasibility gives an exact result; a
+    stalled objective or the round cap returns ``value = 0`` with
+    ``gap`` set to the last LP value (a pure outer bound for ``auto`` to
+    refine), or raises when ``strict``.
     """
     u, v = _as_edge_arrays(u, v)
     m = u.size
     target = float(n - 1)
-    c = -np.ones(m)
     cols = np.arange(m, dtype=np.int64)
     degree_matrix = sparse.csr_matrix(
         (np.ones(2 * m), (np.concatenate([u, v]), np.concatenate([cols, cols]))),
         shape=(n, m),
     )
-    degree_rhs = np.full(n, float(delta))
+    whole = frozenset(range(n))
+    whole_row, whole_rhs = _forest_constraint_matrix([whole], u, v, n)
+    model = _HighsModel(
+        -np.ones(m),
+        np.zeros(m),
+        np.ones(m),
+        sparse.vstack([degree_matrix, whole_row]),
+        np.full(n + 1, -np.inf),
+        np.concatenate([np.full(n, float(delta)), whole_rhs]),
+    )
 
-    forest_sets: list[frozenset[int]] = [frozenset(range(n))]
+    in_model = {whole}
     total_added = 0
     last_value = float("inf")
     stall = 0
     for round_number in range(1, max_rounds + 1):
-        lazy_matrix, lazy_rhs = _forest_constraint_matrix(forest_sets, u, v, n)
-        a_ub = sparse.vstack([degree_matrix, lazy_matrix], format="csr")
-        b_ub = np.concatenate([degree_rhs, lazy_rhs])
-        solution = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
-        )
-        if not solution.success:
-            raise ForestLPError(
-                f"inner LP failed (status {solution.status}): {solution.message}"
-            )
+        solution = model.solve()
         lp_value = -float(solution.fun)
-        x = np.maximum(np.asarray(solution.x, dtype=float), 0.0)
-        violated = violated_forest_sets(
-            n, u, v, x, tolerance=separation_tolerance
-        )
-        new_sets = [s for s in violated if s not in forest_sets]
+        x = np.maximum(solution.x, 0.0)
+        with telemetry.span("lp.separation"):
+            violated = violated_forest_sets(
+                n, u, v, x, tolerance=separation_tolerance
+            )
+        new_sets = [s for s in violated if s not in in_model]
         if not new_sets:
             value = min(max(lp_value, 0.0), target)
             return CoreLPResult(
@@ -834,7 +949,8 @@ def cutting_plane_component(
         else:
             stall = 0
         last_value = lp_value
-        forest_sets.extend(new_sets)
+        in_model.update(new_sets)
+        model.add_rows(*_forest_constraint_matrix(new_sets, u, v, n))
         total_added += len(new_sets)
     if strict:
         raise ForestLPError(
@@ -964,7 +1080,7 @@ def column_generation_component(
             lower = -float(master.fun)
         if best_solution is None or lower > best_solution[0]:
             best_solution = (lower, _mixture(master.x, columns, m))
-        lam = -np.minimum(master.ineqlin.marginals, 0.0)
+        lam = -np.minimum(master.row_dual[:n], 0.0)
         improved = False
         for lam_candidate in (lam, _SMOOTHING * lam_best + (1 - _SMOOTHING) * lam):
             weights = 1.0 - lam_candidate[u] - lam_candidate[v]
@@ -1052,8 +1168,9 @@ def _solve_master(
     v: np.ndarray,
     n: int,
     delta: float,
-):
-    """Solve the restricted master LP and return the scipy result."""
+) -> _HighsSolution:
+    """Solve the restricted master LP cold; ``row_dual[:n]`` are the
+    degree rows' duals."""
     k = len(columns)
     c = np.array([-float(len(column)) for column in columns])
     rows: list[np.ndarray] = []
@@ -1077,17 +1194,14 @@ def _solve_master(
         )
     else:
         a_ub = sparse.csr_matrix((n, k))
-    b_ub = np.full(n, float(delta))
-    a_eq = np.ones((1, k))
-    solution = linprog(
+    # The matrix, bounds and row ranges ``linprog(c, A_ub=a_ub,
+    # b_ub=Δ, A_eq=1, b_eq=1, bounds=(0, None))`` hands HiGHS, solved cold.
+    model = _HighsModel(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
+        np.zeros(k),
+        np.full(k, np.inf),
+        sparse.vstack([a_ub, np.ones((1, k))]),
+        np.append(np.full(n, -np.inf), 1.0),
+        np.append(np.full(n, float(delta)), 1.0),
     )
-    if not solution.success:
-        raise ForestLPError(f"master LP failed: {solution.message}")
-    return solution
+    return model.solve()

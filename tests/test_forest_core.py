@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import (
@@ -17,8 +19,10 @@ from repro.lp import forest_core
 
 from .strategies import graph_arrays
 
-# G(15, 0.26) drawn with seed 57: at Δ = 2 its sandwich window snaps to
-# f_2 = 14, the value the exhaustive LP gives.
+# G(15, 0.26) drawn with seed 57.  At Δ = 2 the warm-started cutting
+# plane certifies f_2 = 14 exactly; capped at one round
+# (``max_rounds=1``) it leaves column generation a window that snaps to
+# 14, the value the exhaustive LP gives.
 SNAPPED_COMPONENT = (
     15,
     np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 4, 5,
@@ -180,7 +184,7 @@ class TestCertificateCounter:
     def test_snapped_solve_counts_snapped(self):
         forest_core.clear_solve_cache()
         before = self._counts()
-        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2)
+        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2, max_rounds=1)
         assert result.status == "snapped"
         assert self._counts()["snapped"] == before["snapped"] + 1
         exact = forest_core.exhaustive_component_value(*SNAPPED_COMPONENT, 2)
@@ -193,7 +197,7 @@ class TestCertificateCounter:
         count, u, v = graph_arrays(complete_graph(6))
         produced = {
             forest_core.exhaustive_component_value(count, u, v, 2).status,
-            forest_core.solve_component(*SNAPPED_COMPONENT, 2).status,
+            forest_core.solve_component(*SNAPPED_COMPONENT, 2, max_rounds=1).status,
             forest_core.column_generation_component(
                 *SNAPPED_COMPONENT, 2, max_iterations=1
             ).status,
@@ -232,16 +236,197 @@ class TestSnappedAgainstExhaustive:
     def test_snapped_values_equal_the_exhaustive_lp(self):
         """``snapped`` rests on the half-integrality assumption, so check
         each snapped value against the LP with every forest constraint
-        materialized, on a corpus small enough to enumerate (n <= 16)."""
+        materialized, on a corpus small enough to enumerate (n <= 16).
+        One cutting-plane round (``max_rounds=1``) leaves the sandwich to
+        column generation, whose windows snap; the default path mostly
+        certifies these graphs exactly."""
         assert forest_core.EXACT_THRESHOLD < 14
         forest_core.clear_solve_cache()
         snapped = []
-        for count, u, v in _connected_gnm_corpus(seed=3, per_size=35):
+        for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
             for delta in (1, 2, 3):
-                result = forest_core.solve_component(count, u, v, delta)
+                result = forest_core.solve_component(
+                    count, u, v, delta, max_rounds=1
+                )
                 if result.status == "snapped":
                     snapped.append((count, u, v, delta, result.value))
         assert len(snapped) >= 5, "the corpus no longer exercises snapping"
         for count, u, v, delta, value in snapped:
             exact = forest_core.exhaustive_component_value(count, u, v, delta)
             assert value == pytest.approx(exact.value, abs=1e-6), (count, delta)
+
+
+@st.composite
+def connected_components(draw, min_vertices: int = 4, max_vertices: int = 12):
+    """A canonical connected component: a random spanning tree (vertex
+    ``i`` hangs off an earlier vertex) plus random extra edges."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    tree = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    u, v = np.array(sorted(tree | set(extra)), dtype=np.int64).T
+    return n, u, v
+
+
+def _linprog_master(columns, u, v, n, delta):
+    """The restricted master through ``linprog``: maximize ``Σ |F| μ_F``
+    over ``μ ≥ 0`` with ``Σ μ_F deg_F(w) ≤ Δ`` and ``Σ μ_F = 1``."""
+    degrees = np.zeros((n, len(columns)))
+    for j, column in enumerate(columns):
+        np.add.at(degrees[:, j], u[column], 1.0)
+        np.add.at(degrees[:, j], v[column], 1.0)
+    return linprog(
+        -np.array([float(len(column)) for column in columns]),
+        A_ub=sparse.csr_matrix(degrees),
+        b_ub=np.full(n, float(delta)),
+        A_eq=np.ones((1, len(columns))),
+        b_eq=np.array([1.0]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+
+
+class TestHighsModel:
+    """The cutting plane keeps one warm HiGHS model per call and the
+    column-generation master solves cold through the same binding; only
+    the exhaustive LP still goes through ``linprog``."""
+
+    def test_cutting_plane_and_column_generation_skip_linprog(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(forest_core, "linprog", refuse)
+        count, u, v = SNAPPED_COMPONENT
+        cp = forest_core.cutting_plane_component(count, u, v, 2, 1e-7, 60, strict=True)
+        cg = forest_core.column_generation_component(count, u, v, 2)
+        assert cp.status == "exact"
+        assert cg.value <= cp.value + 1e-9
+        forest_core.clear_solve_cache()
+        for delta in (2, 3):
+            forest_core.solve_component(count, u, v, delta, max_rounds=1)
+
+    @pytest.mark.parametrize(
+        "component, delta, max_rounds",
+        [
+            (SNAPPED_COMPONENT, 2, 60),  # exact in 2 rounds
+            (SNAPPED_COMPONENT, 3, 60),  # stalls: outer bound
+            (SNAPPED_COMPONENT, 3, 2),  # round cap: last rows appended
+            (graph_arrays(complete_graph(14)), 2, 60),
+        ],
+    )
+    def test_one_model_per_call_with_rows_appended(
+        self, monkeypatch, component, delta, max_rounds
+    ):
+        built, solved = [], []
+
+        class Spy(forest_core._HighsModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def solve(self):
+                solved.append(self)
+                return super().solve()
+
+        monkeypatch.setattr(forest_core, "_HighsModel", Spy)
+        count, u, v = component
+        result = forest_core.cutting_plane_component(
+            count, u, v, delta, 1e-7, max_rounds, strict=False
+        )
+        assert len(built) == 1
+        assert solved == built * result.lp_rounds
+        rows = built[0]._highs.getNumRow()
+        assert rows == count + 1 + result.constraints_added
+
+    def test_master_solves_match_linprog_bit_for_bit(self, monkeypatch):
+        problems = []
+        solve_master = forest_core._solve_master
+
+        def record(columns, u, v, n, delta):
+            problems.append((list(columns), u, v, n, delta))
+            return solve_master(columns, u, v, n, delta)
+
+        monkeypatch.setattr(forest_core, "_solve_master", record)
+        for count, u, v in _connected_gnm_corpus(seed=5, per_size=2):
+            for delta in (1, 2, 3):
+                forest_core.column_generation_component(
+                    count, u, v, delta, max_iterations=8
+                )
+        assert len(problems) >= 50
+        for columns, u, v, n, delta in problems:
+            ours = solve_master(columns, u, v, n, delta)
+            reference = _linprog_master(columns, u, v, n, delta)
+            duals = np.concatenate(
+                [reference.ineqlin.marginals, reference.eqlin.marginals]
+            )
+            assert ours.fun == reference.fun
+            assert ours.x.tobytes() == reference.x.tobytes()
+            assert ours.row_dual.tobytes() == duals.tobytes()
+
+    @given(connected_components(), st.sampled_from([1, 1.5, 2, 3]))
+    @settings(max_examples=60)
+    def test_strict_cutting_plane_equals_exhaustive(self, component, delta):
+        count, u, v = component
+        result = forest_core.cutting_plane_component(
+            count, u, v, delta, 1e-7, 60, strict=True
+        )
+        exact = forest_core.exhaustive_component_value(count, u, v, delta)
+        assert abs(result.value - exact.value) <= 1e-9
+        degree = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
+        assert degree.max() <= delta + 1e-9
+        assert forest_core.violated_forest_sets(count, u, v, result.x) == []
+
+    @pytest.mark.parametrize(
+        "cost, upper, row_lower, row_upper, status",
+        [
+            (1.0, 1.0, 2.0, np.inf, "Infeasible"),
+            (-1.0, np.inf, -np.inf, np.inf, "Unbounded"),
+        ],
+    )
+    def test_non_optimal_status_raises_naming_it(
+        self, cost, upper, row_lower, row_upper, status
+    ):
+        model = forest_core._HighsModel(
+            np.array([cost]),
+            np.zeros(1),
+            np.array([upper]),
+            sparse.csc_array(np.ones((1, 1))),
+            np.array([row_lower]),
+            np.array([row_upper]),
+        )
+        with pytest.raises(forest_core.ForestLPError, match=status):
+            model.solve()
+
+
+class TestLPSpans:
+    """``lp.solve`` splits into ``lp.highs`` (each HiGHS run),
+    ``lp.separation`` (each oracle call) and ``lp.colgen``."""
+
+    @staticmethod
+    def _traced(*args, **kwargs):
+        forest_core.clear_solve_cache()
+        with telemetry.tracing() as tracer:
+            result = forest_core.solve_component(*args, **kwargs)
+        (solve,) = [s for s in tracer.spans if s.name == "lp.solve"]
+
+        def children(parent):
+            return [s for s in tracer.spans if s.parent == parent.index]
+
+        return result, solve, children
+
+    def test_cutting_plane_solve_records_one_highs_span_per_round(self):
+        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2)
+        names = [s.name for s in children(solve)]
+        assert result.status == "exact" and result.lp_rounds == 2
+        assert names.count("lp.highs") == result.lp_rounds
+        assert names.count("lp.separation") == result.lp_rounds
+        assert "lp.colgen" not in names
+
+    def test_column_generation_span_holds_the_master_solves(self):
+        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2, max_rounds=1)
+        names = [s.name for s in children(solve)]
+        assert names.count("lp.highs") == names.count("lp.separation") == 1
+        (colgen,) = [s for s in children(solve) if s.name == "lp.colgen"]
+        masters = [s.name for s in children(colgen)]
+        assert masters and set(masters) == {"lp.highs"}
+        assert len(masters) >= result.lp_rounds - 1
