@@ -21,7 +21,7 @@ from ._util import emit_table, reset_results
 
 _SOLVERS = {
     "auto": lambda n, u, v: forest_core.solve_component(
-        n, u, v, 2, max_rounds=200, use_fast_paths=False
+        n, u, v, 2, use_fast_paths=False
     ),
     "cutting_plane": lambda n, u, v: forest_core.cutting_plane_component(
         n, u, v, 2, 1e-7, 200, strict=True
@@ -80,12 +80,12 @@ def test_method_comparison(benchmark, method):
 def test_fast_path_ablation(benchmark):
     """Fast paths vs forced LP on a grid where repair certifies Δ = 3."""
     graph = grid_graph(8, 8)
-    value = benchmark(lambda: extension_for(graph, max_rounds=60).value(3))
+    value = benchmark(lambda: extension_for(graph).value(3))
     before = _repair_successes()
-    assert extension_for(graph, max_rounds=60).value(3) == value
+    assert extension_for(graph).value(3) == value
     # The single component is certified by one Algorithm-3 repair.
     assert _repair_successes() == before + 1
-    slow = extension_for(graph, use_fast_paths=False, max_rounds=60).value(3)
+    slow = extension_for(graph, use_fast_paths=False).value(3)
     assert slow == pytest.approx(value, abs=1e-4)
 
 

@@ -144,18 +144,12 @@ class PrivateSpanningForestSize:
     delta_max:
         Upper end of the candidate grid.  ``None`` uses ``n`` (the
         paper's choice; treats the graph size as public).
-    use_fast_paths, separation_tolerance, max_rounds:
-        LP evaluation controls (see
-        :func:`repro.lp.forest_core.solve_component`).
     """
 
     epsilon: float
     beta: Optional[float] = None
     select_fraction: float = 0.5
     delta_max: Optional[float] = None
-    use_fast_paths: bool = True
-    separation_tolerance: float = 1e-7
-    max_rounds: int = 60
     _cached_extension: Optional[object] = field(
         init=False, repr=False, default=None, compare=False
     )
@@ -185,12 +179,7 @@ class PrivateSpanningForestSize:
         """
         if self._cached_graph is graph:
             return self._cached_extension
-        self._cached_extension = extension_for(
-            graph,
-            use_fast_paths=self.use_fast_paths,
-            separation_tolerance=self.separation_tolerance,
-            max_rounds=self.max_rounds,
-        )
+        self._cached_extension = extension_for(graph)
         self._cached_graph = graph
         return self._cached_extension
 
@@ -295,9 +284,6 @@ class PrivateConnectedComponents:
     beta: Optional[float] = None
     select_fraction: float = 0.5
     delta_max: Optional[float] = None
-    use_fast_paths: bool = True
-    separation_tolerance: float = 1e-7
-    max_rounds: int = 60
     _sf_estimator: PrivateSpanningForestSize = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -312,9 +298,6 @@ class PrivateConnectedComponents:
             beta=self.beta,
             select_fraction=self.select_fraction,
             delta_max=self.delta_max,
-            use_fast_paths=self.use_fast_paths,
-            separation_tolerance=self.separation_tolerance,
-            max_rounds=self.max_rounds,
         )
 
     def release(

@@ -33,11 +33,7 @@ import numpy as np
 from .. import telemetry
 from ..graphs.compact import CompactGraph, as_compact, component_fingerprint
 from ..graphs.graph import Graph
-from ..lp.forest_core import (
-    EXACT_THRESHOLD,
-    batched_tree_values,
-    solve_component,
-)
+from ..lp.forest_core import batched_tree_values, solve_component
 
 __all__ = [
     "CompactSpanningForestExtension",
@@ -73,16 +69,15 @@ def _multi_slice(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndar
 
 
 def evaluate_lipschitz_extension(
-    graph: Graph | CompactGraph, delta: float, **lp_options
+    graph: Graph | CompactGraph, delta: float, **options
 ) -> float:
     """Algorithm 2: return ``f_Δ(G)`` for a single Δ.
 
-    Convenience wrapper with a cutting-plane cap of 60 rounds unless
-    ``lp_options`` says otherwise; use :func:`extension_for` when
-    evaluating several Δ on the same graph (the extension caches).
+    Convenience wrapper (``options`` go to :func:`extension_for`); use
+    :func:`extension_for` when evaluating several Δ on the same graph
+    (the extension caches).
     """
-    lp_options.setdefault("max_rounds", 60)
-    return extension_for(graph, **lp_options).value(delta)
+    return extension_for(graph, **options).value(delta)
 
 
 class _ComponentwiseExtension:
@@ -124,19 +119,9 @@ class _ComponentwiseExtension:
         *,
         use_fast_paths: bool = True,
         batched_certificates: bool = True,
-        separation_tolerance: float = 1e-7,
-        max_rounds: int = 200,
-        exact_threshold: int = EXACT_THRESHOLD,
-        cg_max_iterations: int = 120,
-        assume_half_integral: bool = True,
     ) -> None:
         self._use_fast_paths = use_fast_paths
         self._batched_certificates = batched_certificates
-        self._separation_tolerance = separation_tolerance
-        self._max_rounds = max_rounds
-        self._exact_threshold = exact_threshold
-        self._cg_max_iterations = cg_max_iterations
-        self._assume_half_integral = assume_half_integral
         self._prepared = False
         self._sizes = np.zeros(0, dtype=np.int64)
         self._maxdeg = np.zeros(0, dtype=np.int64)
@@ -363,8 +348,8 @@ class _ComponentwiseExtension:
         just computed them, so a fully preloaded grid never triggers
         the component split or any LP work.  Values are deterministic
         functions of the graph; callers are responsible for keying them
-        to the right graph content and LP controls (the service cache
-        does this with a content-addressed key).
+        to the right graph content (the service cache does this with a
+        content-addressed key).
         """
         pairs = values.items() if hasattr(values, "items") else values
         for delta, value in pairs:
@@ -497,11 +482,6 @@ class _ComponentwiseExtension:
             u,
             v,
             delta,
-            separation_tolerance=self._separation_tolerance,
-            max_rounds=self._max_rounds,
-            exact_threshold=self._exact_threshold,
-            cg_max_iterations=self._cg_max_iterations,
-            assume_half_integral=self._assume_half_integral,
             use_fast_paths=self._use_fast_paths,
         )
         self._lp_cache.setdefault(i, {})[delta] = core.value
@@ -521,11 +501,11 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     stubborn components reach the LP core.  No object :class:`Graph` is
     ever materialized.
 
-    Keyword options are the engine's controls: ``use_fast_paths`` and
-    ``batched_certificates`` toggle the integral shortcuts, and
-    ``separation_tolerance``, ``max_rounds``, ``exact_threshold``,
-    ``cg_max_iterations`` and ``assume_half_integral`` are forwarded to
-    :func:`repro.lp.forest_core.solve_component`.
+    The keyword options ``use_fast_paths`` and ``batched_certificates``
+    switch off the integral shortcuts (tree DP and Algorithm-3 repair;
+    the batched tree pass), leaving the LP-only and per-component paths
+    that tests and ablation benchmarks compare against.  The LP's own
+    controls are constants of :mod:`repro.lp.forest_core`.
 
     Examples
     --------

@@ -67,38 +67,21 @@ _RELEASES = telemetry.counter(
 class _SessionBound:
     """Mixin: optional attachment to a ``ReleaseSession``-like object.
 
-    The session is duck-typed (``graph_and_extension`` /
-    ``extension_options_match``) so the estimators layer never imports
-    the service layer.  A shared extension is only accepted when the
-    session built it with the same LP controls this estimator would use
-    itself — otherwise the release falls back to a cold build, keeping
-    warm releases bit-identical to cold ones unconditionally.
+    The session is duck-typed (``graph_and_extension``) so the
+    estimators layer never imports the service layer.  Its extension is
+    built exactly as this estimator would build its own (there is one
+    LP configuration), so warm releases are bit-identical to cold ones.
     """
 
     uses_extension = True
     _session = None
-
-    @property
-    def lp_options(self) -> dict:
-        """The extension-construction controls of the wrapped estimator
-        (the ones ``_extension_for`` forwards to ``extension_for``)."""
-        inner = self._inner
-        return {
-            "use_fast_paths": inner.use_fast_paths,
-            "separation_tolerance": inner.separation_tolerance,
-            "max_rounds": inner.max_rounds,
-        }
 
     def bind_session(self, session) -> None:
         """Use ``session``'s per-graph cache to warm future releases."""
         self._session = session
 
     def _resolve(self, graph, extension):
-        if (
-            extension is None
-            and self._session is not None
-            and self._session.extension_options_match(self.lp_options)
-        ):
+        if extension is None and self._session is not None:
             return self._session.graph_and_extension(graph)
         return graph, extension
 
@@ -331,9 +314,6 @@ def _register_all() -> None:
                 "beta",
                 "select_fraction",
                 "delta_max",
-                "use_fast_paths",
-                "separation_tolerance",
-                "max_rounds",
             ),
         )
     )
@@ -350,9 +330,6 @@ def _register_all() -> None:
                 "beta",
                 "select_fraction",
                 "delta_max",
-                "use_fast_paths",
-                "separation_tolerance",
-                "max_rounds",
             ),
         )
     )

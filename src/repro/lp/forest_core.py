@@ -49,14 +49,17 @@ class drives ``scipy.optimize._highspy._core._Highs``, a private scipy
 binding (tested with scipy 1.17.1): if it moves, importing this module
 fails.
 
-The combined ``auto`` logic — fast tree DP, exhaustive below
-:data:`EXACT_THRESHOLD`, certified sandwich above it with optional
+The combined ``auto`` logic — fast tree DP, exhaustive up to
+:data:`EXACT_THRESHOLD` vertices, certified sandwich above it with
 half-integral snapping — lives in :func:`solve_component`.  Snapping
 assumes the optimum is half-integral (true of every instance the test
-suite solves exactly); with ``assume_half_integral=False`` the
-certified ``gap`` is reported instead.  Every result of
-:func:`solve_component`, memo hits included, is counted in
-``repro_lp_certificates_total{status}`` (:data:`CERTIFICATE_STATUSES`).
+suite solves exactly).  Its controls (:data:`EXACT_THRESHOLD`, 12
+cutting-plane rounds, separation tolerance ``1e-7``, 120
+column-generation iterations) are constants of this module: ``f_Δ``
+depends on ``G`` and ``Δ`` alone, so they only decide how its optimum
+is found.  Every result of :func:`solve_component`, memo hits
+included, is counted in ``repro_lp_certificates_total{status}``
+(:data:`CERTIFICATE_STATUSES`).
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ EXACT_THRESHOLD = 13
 """Components up to this many vertices are solved with the exhaustive
 (exact) formulation in ``auto`` mode."""
 
+_CUTTING_PLANE_ROUNDS = 12
+_SEPARATION_TOLERANCE = 1e-7
+_CG_MAX_ITERATIONS = 120
 _STALL_ROUNDS = 3
 _SNAP_WINDOW = 0.5 - 1e-6
 _GAP_TOLERANCE = 1e-7
@@ -282,21 +288,16 @@ def solve_component(
     v: np.ndarray,
     delta: float,
     *,
-    separation_tolerance: float = 1e-7,
-    max_rounds: int = 60,
-    exact_threshold: int = EXACT_THRESHOLD,
-    cg_max_iterations: int = 120,
-    assume_half_integral: bool = True,
     use_fast_paths: bool = True,
 ) -> CoreLPResult:
     """Evaluate ``f_Δ`` on one canonical connected component (``auto``).
 
     Strategy: tree DP when the component is a tree and Δ is integral;
-    exhaustive exact up to ``exact_threshold`` vertices; otherwise a
+    exhaustive exact up to :data:`EXACT_THRESHOLD` vertices; otherwise a
     certified sandwich (cutting-plane outer bound, column-generation
-    inner bound, optional half-integral snap).  ``use_fast_paths=False``
-    disables the tree DP shortcut so differential tests can compare it
-    against a genuinely independent LP evaluation.
+    inner bound, half-integral snap).  ``use_fast_paths=False`` disables
+    the tree DP shortcut so differential tests can compare it against a
+    genuinely independent LP evaluation.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -313,11 +314,6 @@ def solve_component(
             u.tobytes(),
             v.tobytes(),
             float(delta),
-            separation_tolerance,
-            max_rounds,
-            exact_threshold,
-            cg_max_iterations,
-            assume_half_integral,
             use_fast_paths,
         )
         hit = _SOLVE_CACHE.get(cache_key)
@@ -334,11 +330,6 @@ def solve_component(
             delta,
             target,
             m,
-            separation_tolerance=separation_tolerance,
-            max_rounds=max_rounds,
-            exact_threshold=exact_threshold,
-            cg_max_iterations=cg_max_iterations,
-            assume_half_integral=assume_half_integral,
             use_fast_paths=use_fast_paths,
         )
     if timing.seconds is not None:
@@ -359,11 +350,6 @@ def _solve_component_uncached(
     target: float,
     m: int,
     *,
-    separation_tolerance: float,
-    max_rounds: int,
-    exact_threshold: int,
-    cg_max_iterations: int,
-    assume_half_integral: bool,
     use_fast_paths: bool,
 ) -> CoreLPResult:
     if (
@@ -373,11 +359,11 @@ def _solve_component_uncached(
         and kernels.is_forest(n, u, v)
     ):
         return tree_component_value(n, u, v, int(delta))
-    if n <= exact_threshold:
+    if n <= EXACT_THRESHOLD:
         return exhaustive_component_value(n, u, v, delta)
 
     outer = cutting_plane_component(
-        n, u, v, delta, separation_tolerance, min(max_rounds, 12), strict=False
+        n, u, v, delta, _SEPARATION_TOLERANCE, _CUTTING_PLANE_ROUNDS, strict=False
     )
     if outer.gap == 0.0:
         return outer
@@ -389,9 +375,9 @@ def _solve_component_uncached(
             u,
             v,
             delta,
-            max_iterations=cg_max_iterations,
+            max_iterations=_CG_MAX_ITERATIONS,
             external_upper_bound=upper,
-            snap_half_integral=assume_half_integral,
+            snap_half_integral=True,
         )
     upper = min(upper, cg.value + cg.gap)
     lower = min(max(cg.value, 0.0), target)
@@ -400,12 +386,11 @@ def _solve_component_uncached(
     gap = max(upper - lower, 0.0)
     if gap <= 1e-6:
         return CoreLPResult(lower, cg.x, rounds, added, 0.0, "exact")
-    if assume_half_integral:
-        snapped = _unique_half_integer(lower, upper)
-        if snapped is not None:
-            return CoreLPResult(
-                min(snapped, target), cg.x, rounds, added, 0.0, "snapped"
-            )
+    snapped = _unique_half_integer(lower, upper)
+    if snapped is not None:
+        return CoreLPResult(
+            min(snapped, target), cg.x, rounds, added, 0.0, "snapped"
+        )
     return CoreLPResult(lower, cg.x, rounds, added, gap, "approx")
 
 

@@ -5,8 +5,8 @@
 fingerprint-keyed LRU and answers many ``(estimator, epsilon)`` queries
 on the same graph under one optional shared privacy budget;
 :class:`ExtensionCache` makes that warm state durable on disk
-(content-addressed by graph fingerprint + LP controls + candidate
-grid), so cold processes warm-start across restarts;
+(content-addressed by graph fingerprint + candidate grid), so cold
+processes warm-start across restarts;
 :func:`serve_jsonl` is the JSONL request/response loop behind
 ``repro serve-batch`` and :func:`serve_jsonl_parallel` shards it across
 worker processes by graph fingerprint; the subpackage

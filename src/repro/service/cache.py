@@ -11,17 +11,16 @@ graph is GEM selection plus one Laplace draw even across restarts.
 Keying
 ------
 One cache entry is the value table of one extension family for one
-graph under one set of LP controls, evaluated on one candidate grid.
-Its content address is the SHA-256 of exactly those coordinates:
+graph, evaluated on one candidate grid.  Its content address is the
+SHA-256 of exactly those coordinates:
 
 * ``CompactGraph.fingerprint()`` — the graph content hash;
-* the LP-control mapping (``use_fast_paths``, ``separation_tolerance``,
-  ``max_rounds``, …), canonically serialized;
 * the candidate Δ grid, canonically serialized;
 * the library version (a code change can never silently reuse stale
   tables).
 
-Graphs with equal fingerprints but different LP controls or grids
+The LP configuration is fixed in :mod:`repro.lp.forest_core`, so it is
+not a coordinate.  Graphs with equal fingerprints but different grids
 therefore never share a disk entry, and any key-coordinate change is an
 automatic, implicit invalidation.
 
@@ -69,13 +68,8 @@ __all__ = [
     "component_extension_key",
 ]
 
-_RECORD_FIELDS = ("fingerprint", "lp", "grid", "values", "true_fsf", "version")
-_COMPONENT_FIELDS = ("fingerprint", "lp", "grid", "table", "version")
-
-
-def _canonical_lp(lp_options: Mapping[str, Any]) -> dict[str, Any]:
-    """LP controls in canonical (sorted, JSON-safe) form."""
-    return {key: lp_options[key] for key in sorted(lp_options)}
+_RECORD_FIELDS = ("fingerprint", "grid", "values", "true_fsf", "version")
+_COMPONENT_FIELDS = ("fingerprint", "grid", "table", "version")
 
 
 def _canonical_grid(grid: Sequence[float]) -> list[float]:
@@ -85,7 +79,6 @@ def _canonical_grid(grid: Sequence[float]) -> list[float]:
 
 def extension_key(
     fingerprint: str,
-    lp_options: Mapping[str, Any],
     grid: Sequence[float],
     version: str = __version__,
 ) -> str:
@@ -93,7 +86,6 @@ def extension_key(
     payload = json.dumps(
         {
             "fingerprint": fingerprint,
-            "lp": _canonical_lp(lp_options),
             "grid": _canonical_grid(grid),
             "version": version,
         },
@@ -105,7 +97,6 @@ def extension_key(
 
 def component_extension_key(
     fingerprint: str,
-    lp_options: Mapping[str, Any],
     grid: Sequence[float],
     version: str = __version__,
 ) -> str:
@@ -120,7 +111,6 @@ def component_extension_key(
         {
             "kind": "component",
             "fingerprint": fingerprint,
-            "lp": _canonical_lp(lp_options),
             "grid": _canonical_grid(grid),
             "version": version,
         },
@@ -217,10 +207,10 @@ class ExtensionCache:
     --------
     >>> import tempfile
     >>> cache = ExtensionCache(tempfile.mkdtemp())
-    >>> key = cache.store("fp", {"max_rounds": 60}, [1, 2], [0.0, 1.0], 1)
-    >>> cache.load("fp", {"max_rounds": 60}, [1, 2])["values"]
+    >>> key = cache.store("fp", [1, 2], [0.0, 1.0], 1)
+    >>> cache.load("fp", [1, 2])["values"]
     [0.0, 1.0]
-    >>> cache.load("fp", {"max_rounds": 61}, [1, 2]) is None
+    >>> cache.load("fp", [1, 2, 4]) is None
     True
     """
 
@@ -236,11 +226,10 @@ class ExtensionCache:
     def key(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> str:
-        """The content address of this (graph, LP controls, grid)."""
-        return extension_key(fingerprint, lp_options, grid, self.version)
+        """The content address of this (graph, grid)."""
+        return extension_key(fingerprint, grid, self.version)
 
     def path_for(self, key: str) -> str:
         """Where ``key``'s record lives on disk."""
@@ -256,7 +245,6 @@ class ExtensionCache:
     def load(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> Optional[dict]:
         """Return the stored table for these coordinates, or ``None``.
@@ -266,10 +254,10 @@ class ExtensionCache:
         file is deleted (so the slot rebuilds cleanly) and reported as
         a miss.
         """
-        path = self.path_for(self.key(fingerprint, lp_options, grid))
+        path = self.path_for(self.key(fingerprint, grid))
         record = self._read_valid(
             path,
-            lambda record: self._valid(record, fingerprint, lp_options, grid),
+            lambda record: self._valid(record, fingerprint, grid),
         )
         if record is None:
             self.stats.record_miss()
@@ -280,7 +268,6 @@ class ExtensionCache:
     def store(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
         values: Sequence[float],
         true_fsf: int,
@@ -292,12 +279,11 @@ class ExtensionCache:
             raise ValueError(
                 f"got {len(values)} values for a {len(grid)}-point grid"
             )
-        key = self.key(fingerprint, lp_options, grid)
+        key = self.key(fingerprint, grid)
         atomic_write_json(
             self.path_for(key),
             {
                 "fingerprint": fingerprint,
-                "lp": _canonical_lp(lp_options),
                 "grid": grid,
                 "values": values,
                 "true_fsf": int(true_fsf),
@@ -313,12 +299,11 @@ class ExtensionCache:
     def component_key(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> str:
         """Content address of one component table under this cache."""
         return component_extension_key(
-            fingerprint, lp_options, grid, self.version
+            fingerprint, grid, self.version
         )
 
     def component_path_for(self, key: str) -> str:
@@ -328,7 +313,6 @@ class ExtensionCache:
     def load_component(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> Optional[dict[float, float]]:
         """Return the stored ``Δ -> value`` table for one component.
@@ -338,12 +322,12 @@ class ExtensionCache:
         mismatched is deleted and treated as a miss.
         """
         path = self.component_path_for(
-            self.component_key(fingerprint, lp_options, grid)
+            self.component_key(fingerprint, grid)
         )
         record = self._read_valid(
             path,
             lambda record: self._valid_component(
-                record, fingerprint, lp_options, grid
+                record, fingerprint, grid
             ),
         )
         if record is None:
@@ -355,7 +339,6 @@ class ExtensionCache:
     def store_component(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
         table: Mapping[float, float],
     ) -> str:
@@ -367,7 +350,7 @@ class ExtensionCache:
         preload from this record reproduces the donor's values bit for
         bit.
         """
-        key = self.component_key(fingerprint, lp_options, grid)
+        key = self.component_key(fingerprint, grid)
         pairs = sorted(
             (float(d), float(v)) for d, v in table.items()
         )
@@ -375,7 +358,6 @@ class ExtensionCache:
             self.component_path_for(key),
             {
                 "fingerprint": fingerprint,
-                "lp": _canonical_lp(lp_options),
                 "grid": _canonical_grid(grid),
                 "table": [[d, v] for d, v in pairs],
                 "version": self.version,
@@ -388,7 +370,6 @@ class ExtensionCache:
         self,
         record: Any,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> bool:
         """Whether a decoded record really is the requested component."""
@@ -399,7 +380,6 @@ class ExtensionCache:
         table = record["table"]
         return (
             record["fingerprint"] == fingerprint
-            and record["lp"] == _canonical_lp(lp_options)
             and record["grid"] == _canonical_grid(grid)
             and record["version"] == self.version
             and isinstance(table, list)
@@ -417,12 +397,11 @@ class ExtensionCache:
     def invalidate(
         self,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> bool:
         """Drop the entry at these coordinates (e.g. failed an external
         integrity check); ``True`` if something was removed."""
-        path = self.path_for(self.key(fingerprint, lp_options, grid))
+        path = self.path_for(self.key(fingerprint, grid))
         return self._invalidate_path(path)
 
     def clean_tmp(self, max_age_seconds: float = 3600.0) -> int:
@@ -461,7 +440,6 @@ class ExtensionCache:
         self,
         record: Any,
         fingerprint: str,
-        lp_options: Mapping[str, Any],
         grid: Sequence[float],
     ) -> bool:
         """Whether a decoded record really is the requested table."""
@@ -472,7 +450,6 @@ class ExtensionCache:
         values = record["values"]
         return (
             record["fingerprint"] == fingerprint
-            and record["lp"] == _canonical_lp(lp_options)
             and record["grid"] == _canonical_grid(grid)
             and record["version"] == self.version
             and isinstance(values, list)

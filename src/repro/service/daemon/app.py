@@ -57,7 +57,7 @@ import os
 import threading
 import time
 import traceback
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from ... import telemetry
 from ...estimators.registry import canonical_name, get_spec, registry_specs
@@ -153,7 +153,7 @@ class ReleaseDaemon:
         (``unknown_tenant``) until provisioned via
         ``PUT /v1/tenants/<t>``.
     default_graph_path, max_graphs, extension_cache_dir, base_seed,
-    allow_non_private, extension_options:
+    allow_non_private:
         Serving knobs with the same meaning as on ``serve-batch``; the
         daemon reuses :class:`ReleaseSession` (and through it the
         persistent :class:`~repro.service.cache.ExtensionCache`), so
@@ -170,7 +170,6 @@ class ReleaseDaemon:
         extension_cache_dir: Optional[str] = None,
         base_seed: int = 0,
         allow_non_private: bool = False,
-        extension_options: Optional[Mapping[str, Any]] = None,
         telemetry_log_path: Optional[str] = None,
     ) -> None:
         if default_tenant_budget is not None and default_tenant_budget <= 0:
@@ -191,7 +190,6 @@ class ReleaseDaemon:
         self._allow_non_private = allow_non_private
         self.session = ReleaseSession(
             max_graphs=max_graphs,
-            extension_options=extension_options,
             cache_dir=extension_cache_dir,
         )
         self._server = _RequestServer(
@@ -230,6 +228,7 @@ class ReleaseDaemon:
                     request = await read_http_request(reader)
                 except HttpProtocolError as exc:
                     status, body = _error_body("malformed_request", str(exc))
+                    self.requests_rejected += 1
                     writer.write(
                         json_response_bytes(status, body, keep_alive=False)
                     )
@@ -244,7 +243,7 @@ class ReleaseDaemon:
                     status, body = _error_body(
                         "internal_error", f"{type(exc).__name__}: {exc}"
                     )
-                if status != 200:
+                if status >= 400:
                     self.requests_rejected += 1
                 if isinstance(body, str):
                     # /metrics is the one plain-text route (Prometheus

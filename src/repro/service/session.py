@@ -74,19 +74,10 @@ _COMPONENT_PROMOTIONS = telemetry.counter(
     "Component value tables promoted to the content-addressed layer",
 )
 
-__all__ = ["ReleaseSession", "SessionStats", "DEFAULT_EXTENSION_OPTIONS"]
+__all__ = ["ReleaseSession", "SessionStats"]
 
-# The session's extension tables are built with exactly the LP controls
-# the Algorithm-1 estimators use by default (see
-# ``PrivateSpanningForestSize``), so a warm release equals a cold
-# default-configured release bit for bit.  Estimators whose LP options
-# differ from the session's simply do not get the shared extension (the
-# adapters check compatibility and fall back to a cold build).
-DEFAULT_EXTENSION_OPTIONS: dict[str, Any] = {
-    "use_fast_paths": True,
-    "separation_tolerance": 1e-7,
-    "max_rounds": 60,
-}
+# Entries of the in-memory component-table memo (LRU eviction beyond).
+_COMPONENT_MEMO_SIZE = 4096
 
 
 @dataclass
@@ -200,13 +191,6 @@ class ReleaseSession:
     allow_non_private:
         Permit zero-budget (exact) estimators on a budgeted session.
         Irrelevant when ``total_epsilon`` is ``None``.
-    extension_options:
-        Keyword options for :func:`repro.core.extension.extension_for`
-        (LP controls); applied uniformly to every cached extension.
-        Defaults to :data:`DEFAULT_EXTENSION_OPTIONS` — the Algorithm-1
-        estimator defaults — so warm and cold releases agree bit for
-        bit.  An estimator queried with *different* LP options is served
-        cold (correct, just unamortized).
     cache_dir, extension_cache:
         Optional persistent extension cache
         (:class:`~repro.service.cache.ExtensionCache`): pass a
@@ -219,18 +203,18 @@ class ReleaseSession:
         the cache.  The cache holds pre-noise state and must be
         permissioned like the raw graphs (see the module docstring of
         :mod:`repro.service.cache`).
-    component_promotion, component_memo_size:
+    component_promotion:
         The delta-update path (:meth:`CompactGraph.apply_edits`).  When
         enabled (default), the value tables of components valued by
         Algorithm-3 repair or the LP are promoted to a bounded in-memory
         memo keyed by component content fingerprint — and to the
         persistent cache when one is attached.  A whole-graph extension
         miss then fingerprints only the components that could reach
-        repair or the LP on the query's grid (with default options, the
-        non-tree components with max degree above the grid's smallest
-        Δ) and warms each one whose table is already known; every other
-        component is valued by the exactness mask or the batched tree
-        DP, as in a cold release.  After an edit batch only the touched
+        repair or the LP on the query's grid (the non-tree components
+        with max degree above the grid's smallest Δ) and warms each one
+        whose table is already known; every other component is valued
+        by the exactness mask or the batched tree DP, as in a cold
+        release.  After an edit batch only the touched
         components pay Algorithm-3/LP work again; released values stay
         bit-identical to a cold full rebuild.  The ``component_hits``,
         ``component_misses`` and ``component_promotions`` counters count
@@ -256,29 +240,19 @@ class ReleaseSession:
         *,
         max_graphs: int = 8,
         total_epsilon: Optional[float] = None,
-        extension_options: Optional[Mapping[str, Any]] = None,
         allow_non_private: bool = False,
         cache_dir: Optional[str | os.PathLike] = None,
         extension_cache: Optional[ExtensionCache] = None,
         component_promotion: bool = True,
-        component_memo_size: int = 4096,
     ) -> None:
         if max_graphs < 1:
             raise ValueError(f"max_graphs must be >= 1, got {max_graphs}")
-        if component_memo_size < 1:
-            raise ValueError(
-                f"component_memo_size must be >= 1, got {component_memo_size}"
-            )
         if cache_dir is not None and extension_cache is not None:
             raise ValueError(
                 "pass either cache_dir or extension_cache, not both"
             )
         self._max_graphs = max_graphs
         self._entries: OrderedDict[str, _GraphEntry] = OrderedDict()
-        self._extension_options = {
-            **DEFAULT_EXTENSION_OPTIONS,
-            **(extension_options or {}),
-        }
         self.accountant = (
             PrivacyAccountant(total_epsilon)
             if total_epsilon is not None
@@ -299,7 +273,6 @@ class ReleaseSession:
         # is attached — so after CompactGraph.apply_edits only the
         # touched components recompute.
         self._component_promotion = component_promotion
-        self._component_memo_size = component_memo_size
         self._component_memo: OrderedDict[str, dict[float, float]] = (
             OrderedDict()
         )
@@ -365,16 +338,6 @@ class ReleaseSession:
         key = self.register(graph)
         return key, self._entries[key]
 
-    def extension_options_match(self, options: Mapping[str, Any]) -> bool:
-        """Whether an estimator's LP controls agree with the options the
-        session builds its cached extensions with.  Adapters call this
-        before accepting a shared extension: on mismatch they build
-        their own, keeping warm releases bit-identical to cold ones."""
-        return all(
-            self._extension_options.get(key) == value
-            for key, value in options.items()
-        )
-
     def graph_and_extension(self, graph):
         """Return ``(cached_graph, warm_extension)`` for ``graph``.
 
@@ -398,8 +361,8 @@ class ReleaseSession:
         return power_of_two_grid(max(graph.number_of_vertices(), 1))
 
     def _grid_for(self, graph, options: Mapping[str, Any]) -> list[int]:
-        """The candidate grid a default-LP estimator will evaluate —
-        mirrors ``PrivateSpanningForestSize.release``'s grid choice."""
+        """The candidate grid the estimator will evaluate — mirrors
+        ``PrivateSpanningForestSize.release``'s grid choice."""
         delta_max = options.get("delta_max")
         if delta_max is None:
             return self._default_grid(graph)
@@ -412,9 +375,7 @@ class ReleaseSession:
         grid: Optional[list] = None,
     ):
         if entry.extension is None:
-            extension = extension_for(
-                entry.graph, **self._extension_options
-            )
+            extension = extension_for(entry.graph)
             warmed = False
             if (
                 self.cache is not None
@@ -439,15 +400,13 @@ class ReleaseSession:
     def _component_key(self, fingerprint: str, grid) -> str:
         """Content address of one component table for this session."""
         version = self.cache.version if self.cache is not None else __version__
-        return component_extension_key(
-            fingerprint, self._extension_options, grid, version
-        )
+        return component_extension_key(fingerprint, grid, version)
 
     def _memo_put(self, key: str, table: dict[float, float]) -> None:
         memo = self._component_memo
         memo[key] = table
         memo.move_to_end(key)
-        while len(memo) > self._component_memo_size:
+        while len(memo) > _COMPONENT_MEMO_SIZE:
             memo.popitem(last=False)
 
     def _warm_components(self, extension, grid) -> int:
@@ -472,9 +431,7 @@ class ReleaseSession:
             if table is not None:
                 self._component_memo.move_to_end(key)
             elif self.cache is not None:
-                table = self.cache.load_component(
-                    fp, self._extension_options, grid
-                )
+                table = self.cache.load_component(fp, grid)
                 if table is not None:
                     self._memo_put(key, table)
                     self._promoted_components.add(key)
@@ -511,7 +468,6 @@ class ReleaseSession:
             grid = self._default_grid(entry.graph)
         graph_key = extension_key(
             fingerprint,
-            self._extension_options,
             grid,
             self.cache.version if self.cache is not None else __version__,
         )
@@ -526,9 +482,7 @@ class ReleaseSession:
                 continue
             self._memo_put(key, dict(table))
             if self.cache is not None:
-                self.cache.store_component(
-                    fp, self._extension_options, grid, table
-                )
+                self.cache.store_component(fp, grid, table)
             self._promoted_components.add(key)
             self.stats.record_component_promotion()
             promoted += 1
@@ -537,21 +491,17 @@ class ReleaseSession:
 
     def _warm_from_disk(self, extension, fingerprint: str, grid) -> bool:
         """Preload ``extension`` from the persistent cache if possible."""
-        record = self.cache.load(
-            fingerprint, self._extension_options, grid
-        )
+        record = self.cache.load(fingerprint, grid)
         if record is None:
             return False
         # Integrity cross-check beyond the content address: the exact
         # f_sf just computed from the graph itself must agree with the
         # stored one, or the record is damaged and gets dropped.
         if int(record["true_fsf"]) != int(extension.true_value):
-            self.cache.invalidate(fingerprint, self._extension_options, grid)
+            self.cache.invalidate(fingerprint, grid)
             return False
         extension.preload_values(zip(record["grid"], record["values"]))
-        self._persisted.add(
-            self.cache.key(fingerprint, self._extension_options, grid)
-        )
+        self._persisted.add(self.cache.key(fingerprint, grid))
         self.stats.record_disk_warm_start()
         return True
 
@@ -571,7 +521,7 @@ class ReleaseSession:
             return False
         if grid is None:
             grid = self._default_grid(entry.graph)
-        key = self.cache.key(fingerprint, self._extension_options, grid)
+        key = self.cache.key(fingerprint, grid)
         if key in self._persisted:
             return False
         values = entry.extension.cached_values()
@@ -581,7 +531,6 @@ class ReleaseSession:
             return False
         self.cache.store(
             fingerprint,
-            self._extension_options,
             grid,
             table,
             entry.extension.true_value,
@@ -670,9 +619,7 @@ class ReleaseSession:
                 f"query for {epsilon} exceeds the session's remaining "
                 f"budget {self.accountant.remaining()}"
             )
-        shared_extension = getattr(
-            instance, "uses_extension", False
-        ) and self.extension_options_match(instance.lp_options)
+        shared_extension = getattr(instance, "uses_extension", False)
         if shared_extension:
             grid = self._grid_for(entry.graph, options)
             release = instance.release(
@@ -680,8 +627,6 @@ class ReleaseSession:
                 extension=self._extension(entry, key, grid),
             )
         else:
-            # Incompatible LP controls (or no extension at all): serve
-            # cold — correct, just unamortized.
             release = instance.release(entry.graph, rng)
         # Spend only after a successful release: a raising estimator
         # must not leak budget.

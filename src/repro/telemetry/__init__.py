@@ -4,7 +4,7 @@ The observability layer threaded through the Algorithm-1 pipeline
 (:mod:`repro.core`, :mod:`repro.lp`), the serving stack
 (:mod:`repro.service`), and the release daemon:
 
-* :mod:`repro.telemetry.metrics` — process-local counters / gauges /
+* :mod:`repro.telemetry.metrics` — process-local counters and
   histograms with deterministic snapshots, worker-snapshot merging,
   and Prometheus text rendering (the daemon's ``GET /metrics``).
 * :mod:`repro.telemetry.tracing` — ``with telemetry.span("lp.solve")``
@@ -21,14 +21,12 @@ from .events import TelemetryLog
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
     counter,
     counter_value,
     default_registry,
-    gauge,
     histogram,
     merge_snapshots,
     render_prometheus,
@@ -50,14 +48,12 @@ __all__ = [
     "TelemetryLog",
     "DEFAULT_TIME_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
     "counter",
     "counter_value",
     "default_registry",
-    "gauge",
     "histogram",
     "merge_snapshots",
     "render_prometheus",

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters and histograms.
 
 Design constraints, in order:
 
@@ -34,13 +34,11 @@ import threading
 __all__ = [
     "MetricError",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_TIME_BUCKETS",
     "default_registry",
     "counter",
-    "gauge",
     "histogram",
     "snapshot",
     "render_prometheus",
@@ -164,47 +162,6 @@ class Counter(_Metric):
         for key, value in values:
             key = tuple(key)
             self._values[key] = self._values.get(key, 0.0) + value
-
-    def _render(self, lines: list[str]) -> None:
-        for key, value in sorted(self._values.items()):
-            lines.append(
-                f"{self.name}{self._label_suffix(key)} {_format_value(value)}"
-            )
-
-
-class Gauge(_Metric):
-    """Point-in-time value.  Merging snapshots keeps the last writer."""
-
-    kind = "gauge"
-
-    def __init__(self, name, help, label_names, lock):
-        super().__init__(name, help, label_names, lock)
-        self._values: dict[tuple[str, ...], float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
-    def _reset(self) -> None:
-        self._values.clear()
-
-    def _snapshot_values(self):
-        return [[list(key), value]
-                for key, value in sorted(self._values.items())]
-
-    def _load(self, values) -> None:
-        for key, value in values:
-            self._values[tuple(key)] = value
 
     def _render(self, lines: list[str]) -> None:
         for key, value in sorted(self._values.items()):
@@ -346,10 +303,6 @@ class MetricsRegistry:
                 labels: tuple[str, ...] = ()) -> Counter:
         return self._register(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "",
-              labels: tuple[str, ...] = ()) -> Gauge:
-        return self._register(Gauge, name, help, labels)
-
     def histogram(self, name: str, help: str = "",
                   labels: tuple[str, ...] = (),
                   buckets=None) -> Histogram:
@@ -384,15 +337,12 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into
         this registry, creating metrics as needed.  Counters and
-        histogram buckets add; gauges keep the incoming value."""
+        histogram buckets add."""
         for name, entry in sorted(snapshot.items()):
             kind = entry.get("kind")
             if kind == "counter":
                 metric = self.counter(name, entry.get("help", ""),
                                       tuple(entry.get("labels", ())))
-            elif kind == "gauge":
-                metric = self.gauge(name, entry.get("help", ""),
-                                    tuple(entry.get("labels", ())))
             elif kind == "histogram":
                 metric = self.histogram(
                     name, entry.get("help", ""),
@@ -454,10 +404,6 @@ def default_registry() -> MetricsRegistry:
 def counter(name: str, help: str = "",
             labels: tuple[str, ...] = ()) -> Counter:
     return _DEFAULT.counter(name, help, labels)
-
-
-def gauge(name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
-    return _DEFAULT.gauge(name, help, labels)
 
 
 def histogram(name: str, help: str = "", labels: tuple[str, ...] = (),

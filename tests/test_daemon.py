@@ -11,6 +11,7 @@ import json
 import math
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -328,6 +329,40 @@ class TestDaemonHttp:
             )
             assert status == 400
             assert body["error"]["code"] == "malformed_request"
+
+    def test_only_error_statuses_count_as_rejections(
+        self, tmp_path, graph_file
+    ):
+        """A provisioning PUT answers 201 Created: a success, not a
+        rejection.  The malformed release counts, and so does a request
+        the HTTP framing refuses."""
+        daemon = ReleaseDaemon(tmp_path / "state")
+        with daemon.start_in_background() as handle:
+            base = f"http://127.0.0.1:{handle.port}"
+            status, _ = _http(
+                "PUT", f"{base}/v1/tenants/acme", {"total_epsilon": 2.0}
+            )
+            assert status == 201
+            status, _ = _http("POST", f"{base}/v1/release", {
+                "tenant": "acme", "estimator": "cc", "graph": graph_file,
+            })  # no epsilon
+            assert status == 400
+            status, _ = _http("POST", f"{base}/v1/release", {
+                "tenant": "acme", "estimator": "cc", "epsilon": 1.0,
+                "graph": graph_file, "seed": 1,
+            })
+            assert status == 200
+            status, stats = _http("GET", f"{base}/v1/stats")
+            assert status == 200
+            assert stats["releases_served"] == 1
+            assert stats["requests_rejected"] == 1
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=30.0
+            ) as raw:
+                raw.sendall(b"GARBAGE\r\n\r\n")
+                assert raw.recv(4096).startswith(b"HTTP/1.1 400")
+            status, stats = _http("GET", f"{base}/v1/stats")
+            assert stats["requests_rejected"] == 2
 
     def test_release_admission_and_budget_flow(self, tmp_path, graph_file):
         daemon = ReleaseDaemon(

@@ -8,6 +8,7 @@ session-cache correctness) leans on it.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.estimators import (
     canonical_name,
     create,
     estimator_names,
+    get_spec,
     register,
     registry_specs,
     true_statistic_for,
@@ -292,9 +294,26 @@ class TestOptionValidation:
             create("cc", epsilon=1.0, warp_factor=9)
 
     def test_declared_options_accepted(self):
-        create("cc", epsilon=1.0, count_fraction=0.3, max_rounds=10)
-        create("sf", epsilon=1.0, separation_tolerance=1e-6)
+        create("cc", epsilon=1.0, count_fraction=0.3, delta_max=10)
+        create("sf", epsilon=1.0, beta=0.3, select_fraction=0.4)
         create("bounded_degree", epsilon=1.0, degree_bound=3)
+
+    @pytest.mark.parametrize("name", ["cc", "sf"])
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_rounds", 10),
+            ("separation_tolerance", 1e-6),
+            ("use_fast_paths", False),
+        ],
+    )
+    def test_lp_controls_are_not_options(self, name, option, value):
+        """The forest LP has one configuration, so Algorithm 1 takes no
+        LP controls: each is rejected with the catalog of valid ones."""
+        valid = sorted(get_spec(name).options)
+        assert "delta_max" in valid
+        with pytest.raises(ValueError, match=re.escape(f"valid: {valid}")):
+            create(name, epsilon=1.0, **{option: value})
 
     def test_non_private_takes_no_options(self):
         with pytest.raises(ValueError, match="valid: \\[\\]"):

@@ -20,9 +20,9 @@ from repro.lp import forest_core
 from .strategies import graph_arrays
 
 # G(15, 0.26) drawn with seed 57.  At Δ = 2 the warm-started cutting
-# plane certifies f_2 = 14 exactly; capped at one round
-# (``max_rounds=1``) it leaves column generation a window that snaps to
-# 14, the value the exhaustive LP gives.
+# plane certifies f_2 = 14 exactly; capped at one round (the
+# ``one_cutting_plane_round`` fixture) it leaves column generation a
+# window that snaps to 14, the value the exhaustive LP gives.
 SNAPPED_COMPONENT = (
     15,
     np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 4, 5,
@@ -30,6 +30,17 @@ SNAPPED_COMPONENT = (
     np.array([3, 4, 8, 12, 6, 9, 11, 4, 8, 14, 6, 7, 8, 10, 12, 11, 7,
               9, 12, 8, 9, 10, 12, 8, 10, 9, 10, 11, 12, 12, 13, 14, 14]),
 )
+
+
+@pytest.fixture
+def one_cutting_plane_round(monkeypatch):
+    """Cap ``solve_component``'s cutting plane at one round, so column
+    generation settles the sandwich.  The memo key does not carry the
+    cap, so every memoized solve is dropped before and after."""
+    forest_core.clear_solve_cache()
+    monkeypatch.setattr(forest_core, "_CUTTING_PLANE_ROUNDS", 1)
+    yield
+    forest_core.clear_solve_cache()
 
 
 class TestTreeDP:
@@ -181,23 +192,22 @@ class TestCertificateCounter:
             "snapped": 0, "approx": 0, "outer-bound": 0
         }
 
-    def test_snapped_solve_counts_snapped(self):
-        forest_core.clear_solve_cache()
+    def test_snapped_solve_counts_snapped(self, one_cutting_plane_round):
         before = self._counts()
-        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2, max_rounds=1)
+        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2)
         assert result.status == "snapped"
         assert self._counts()["snapped"] == before["snapped"] + 1
         exact = forest_core.exhaustive_component_value(*SNAPPED_COMPONENT, 2)
         assert result.value == pytest.approx(exact.value, abs=1e-6)
 
-    def test_labels_are_the_four_statuses(self):
+    def test_labels_are_the_four_statuses(self, one_cutting_plane_round):
         assert forest_core.CERTIFICATE_STATUSES == (
             "exact", "snapped", "approx", "outer-bound"
         )
         count, u, v = graph_arrays(complete_graph(6))
         produced = {
             forest_core.exhaustive_component_value(count, u, v, 2).status,
-            forest_core.solve_component(*SNAPPED_COMPONENT, 2, max_rounds=1).status,
+            forest_core.solve_component(*SNAPPED_COMPONENT, 2).status,
             forest_core.column_generation_component(
                 *SNAPPED_COMPONENT, 2, max_iterations=1
             ).status,
@@ -233,21 +243,20 @@ def _connected_gnm_corpus(seed: int, per_size: int):
 
 
 class TestSnappedAgainstExhaustive:
-    def test_snapped_values_equal_the_exhaustive_lp(self):
+    def test_snapped_values_equal_the_exhaustive_lp(
+        self, one_cutting_plane_round
+    ):
         """``snapped`` rests on the half-integrality assumption, so check
         each snapped value against the LP with every forest constraint
         materialized, on a corpus small enough to enumerate (n <= 16).
-        One cutting-plane round (``max_rounds=1``) leaves the sandwich to
-        column generation, whose windows snap; the default path mostly
+        One cutting-plane round leaves the sandwich to column
+        generation, whose windows snap; the default path mostly
         certifies these graphs exactly."""
         assert forest_core.EXACT_THRESHOLD < 14
-        forest_core.clear_solve_cache()
         snapped = []
         for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
             for delta in (1, 2, 3):
-                result = forest_core.solve_component(
-                    count, u, v, delta, max_rounds=1
-                )
+                result = forest_core.solve_component(count, u, v, delta)
                 if result.status == "snapped":
                     snapped.append((count, u, v, delta, result.value))
         assert len(snapped) >= 5, "the corpus no longer exercises snapping"
@@ -291,7 +300,9 @@ class TestHighsModel:
     column-generation master solves cold through the same binding; only
     the exhaustive LP still goes through ``linprog``."""
 
-    def test_cutting_plane_and_column_generation_skip_linprog(self, monkeypatch):
+    def test_cutting_plane_and_column_generation_skip_linprog(
+        self, monkeypatch, one_cutting_plane_round
+    ):
         def refuse(*args, **kwargs):
             raise AssertionError("linprog called")
 
@@ -301,9 +312,8 @@ class TestHighsModel:
         cg = forest_core.column_generation_component(count, u, v, 2)
         assert cp.status == "exact"
         assert cg.value <= cp.value + 1e-9
-        forest_core.clear_solve_cache()
         for delta in (2, 3):
-            forest_core.solve_component(count, u, v, delta, max_rounds=1)
+            forest_core.solve_component(count, u, v, delta)
 
     @pytest.mark.parametrize(
         "component, delta, max_rounds",
@@ -422,8 +432,10 @@ class TestLPSpans:
         assert names.count("lp.separation") == result.lp_rounds
         assert "lp.colgen" not in names
 
-    def test_column_generation_span_holds_the_master_solves(self):
-        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2, max_rounds=1)
+    def test_column_generation_span_holds_the_master_solves(
+        self, one_cutting_plane_round
+    ):
+        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2)
         names = [s.name for s in children(solve)]
         assert names.count("lp.highs") == names.count("lp.separation") == 1
         (colgen,) = [s for s in children(solve) if s.name == "lp.colgen"]

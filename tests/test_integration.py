@@ -153,35 +153,35 @@ class TestFullPipeline:
 
 class TestApproximateRegime:
     def test_gap_is_certified_and_propagates(self, rng):
-        """Force the approximate path with a tiny iteration budget and
-        check the contract: value is a lower bound within gap of any
-        exact evaluation."""
+        """Force the approximate path with a tiny iteration budget (column
+        generation alone, unsnapped) and check the contract: value is a
+        lower bound within gap of any exact evaluation."""
         g = erdos_renyi(30, 0.25, rng)  # one big component, > threshold
         approx, approx_gap = _component_sum(
             g,
-            lambda n, u, v: forest_core.solve_component(
-                n, u, v, 2, cg_max_iterations=3, assume_half_integral=False
+            lambda n, u, v: forest_core.column_generation_component(
+                n, u, v, 2, max_iterations=3
             ),
         )
+        assert approx_gap > 0.0
         exact, exact_gap = _component_sum(
-            g,
-            lambda n, u, v: forest_core.solve_component(
-                n, u, v, 2, cg_max_iterations=400
-            ),
+            g, lambda n, u, v: forest_core.solve_component(n, u, v, 2)
         )
         if exact_gap == 0.0:
             assert approx <= exact + 1e-6
             assert approx + approx_gap >= exact - 1e-6
 
     def test_snapping_agrees_with_high_effort(self, rng):
+        """The snapped total lies in the window that unsnapped column
+        generation certifies."""
         g = erdos_renyi(26, 0.3, rng)
         snapped, _ = _component_sum(
             g, lambda n, u, v: forest_core.solve_component(n, u, v, 2)
         )
         unsnapped, unsnapped_gap = _component_sum(
             g,
-            lambda n, u, v: forest_core.solve_component(
-                n, u, v, 2, assume_half_integral=False
+            lambda n, u, v: forest_core.column_generation_component(
+                n, u, v, 2
             ),
         )
-        assert unsnapped <= snapped + unsnapped_gap + 1e-6
+        assert unsnapped - 1e-6 <= snapped <= unsnapped + unsnapped_gap + 1e-6

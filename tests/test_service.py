@@ -15,6 +15,8 @@ import json
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.core.extension import extension_for
 from repro.estimators import create
 from repro.graphs.compact import (
     CompactGraph,
@@ -29,13 +31,32 @@ from repro.graphs.generators import (
     planted_components_compact,
 )
 from repro.graphs.io import write_edge_list
+from repro.lp import forest_core
 from repro.mechanisms.accountant import BudgetExceededError
+from repro.mechanisms.gem import power_of_two_grid
 from repro.service import ReleaseSession, serve_jsonl
 
 
 @pytest.fixture
 def compact():
     return planted_components_compact([12, 9, 6], 0.4, np.random.default_rng(5))
+
+
+def _giant_component_graph(n: int = 50, m: int = 75) -> CompactGraph:
+    """Uniform G(n, m) with mean degree 3: one giant component whose
+    values come from the LP's certified sandwich."""
+    rng = np.random.default_rng([1, 1])
+    u, v = np.triu_indices(n, 1)
+    pick = np.sort(rng.choice(u.size, size=m, replace=False))
+    return CompactGraph.from_edge_arrays(
+        n, u[pick].astype(np.int64), v[pick].astype(np.int64)
+    )
+
+
+def _memo_misses() -> float:
+    return telemetry.counter_value(
+        telemetry.snapshot(), "repro_lp_memo_total", result="miss"
+    )
 
 
 class TestFingerprint:
@@ -147,33 +168,36 @@ class TestSessionCache:
         )
         assert release.value == cold.value
 
-    def test_session_extension_uses_estimator_default_lp_controls(self):
-        """The warm table is built with the Algorithm-1 estimator
-        defaults (max_rounds=60 etc.), not the extension-class defaults
-        — the precondition for warm == cold on hard inputs."""
-        from repro.service.session import DEFAULT_EXTENSION_OPTIONS
-        from repro.core.algorithm import PrivateSpanningForestSize
-
-        defaults = PrivateSpanningForestSize(epsilon=1.0)
-        assert DEFAULT_EXTENSION_OPTIONS == {
-            "use_fast_paths": defaults.use_fast_paths,
-            "separation_tolerance": defaults.separation_tolerance,
-            "max_rounds": defaults.max_rounds,
-        }
-
-    def test_custom_lp_options_served_cold_but_correct(self, compact):
-        """An estimator whose LP controls differ from the session's is
-        never handed the shared extension: its release matches a cold
-        release with those same controls bit for bit."""
+    def test_session_table_equals_a_cold_extension_on_an_lp_graph(self):
+        """The warm table is the one a cold ``extension_for`` builds, bit
+        for bit, on a graph whose value comes from the LP — the
+        precondition for warm == cold on hard inputs."""
+        graph = _giant_component_graph()
         session = ReleaseSession()
-        session.query("cc", epsilon=1.0, graph=compact, seed=0)  # warm table
-        warm = session.query(
-            "sf", epsilon=1.0, graph=compact, seed=7, max_rounds=3
-        )
-        cold = create("sf", epsilon=1.0, max_rounds=3).release(
-            compact, np.random.default_rng(7)
-        )
-        assert warm.value == cold.value
+        session.query("sf", epsilon=1.0, graph=graph, seed=0)
+        grid = power_of_two_grid(graph.number_of_vertices())
+        _, warm = session.graph_and_extension(graph)
+        forest_core.clear_solve_cache()
+        cold = extension_for(graph).values_for_grid(grid)
+        assert warm.values_for_grid(grid).tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize("first", ["create", "session"])
+    def test_release_and_extension_share_the_lp_memo(self, first):
+        """Every layer solves with one LP configuration, so after one
+        release a fresh extension's whole grid is answered from the
+        component-solve memo."""
+        graph = _giant_component_graph()
+        grid = power_of_two_grid(graph.number_of_vertices())
+        forest_core.clear_solve_cache()
+        before = _memo_misses()
+        if first == "create":
+            create("cc", epsilon=1.0).release(graph, np.random.default_rng(0))
+        else:
+            ReleaseSession().query("cc", epsilon=1.0, graph=graph, seed=0)
+        solved = _memo_misses()
+        assert solved > before
+        extension_for(graph).values_for_grid(grid)
+        assert _memo_misses() == solved
 
     def test_rng_xor_seed_required(self, compact):
         session = ReleaseSession()

@@ -2,9 +2,8 @@
 
 Load-bearing properties:
 
-* key correctness — equal fingerprints with different LP controls or
-  grids never share a disk entry, and version changes invalidate
-  implicitly;
+* key correctness — equal fingerprints with different grids never
+  share a disk entry, and version changes invalidate implicitly;
 * robustness — corrupted/truncated/tampered cache files are deleted
   and treated as misses, never crashes;
 * warm restart — a *new* session pointed at a populated cache directory
@@ -31,9 +30,6 @@ from repro.graphs.generators import (
 from repro.mechanisms.accountant import BudgetExceededError
 from repro.mechanisms.gem import power_of_two_grid
 from repro.service import ExtensionCache, ReleaseSession
-from repro.service.session import DEFAULT_EXTENSION_OPTIONS
-
-LP = dict(DEFAULT_EXTENSION_OPTIONS)
 GRID = [1.0, 2.0, 4.0]
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -46,53 +42,41 @@ def compact():
 
 class TestCacheKeys:
     def test_same_coordinates_same_key(self):
-        assert ExtensionCache("/tmp/x").key("fp", LP, GRID) == ExtensionCache(
+        assert ExtensionCache("/tmp/x").key("fp", GRID) == ExtensionCache(
             "/tmp/y"
-        ).key("fp", LP, GRID)
-
-    def test_lp_controls_separate_entries(self, tmp_path, compact):
-        """Satellite: equal fingerprints, different LP controls must
-        never share a disk entry."""
-        cache = ExtensionCache(tmp_path)
-        fp = compact.fingerprint()
-        other_lp = {**LP, "max_rounds": LP["max_rounds"] + 1}
-        cache.store(fp, LP, GRID, [1.0, 2.0, 3.0], 3)
-        cache.store(fp, other_lp, GRID, [9.0, 9.0, 9.0], 3)
-        assert cache.key(fp, LP, GRID) != cache.key(fp, other_lp, GRID)
-        assert cache.load(fp, LP, GRID)["values"] == [1.0, 2.0, 3.0]
-        assert cache.load(fp, other_lp, GRID)["values"] == [9.0, 9.0, 9.0]
+        ).key("fp", GRID)
 
     def test_grid_separates_entries(self, tmp_path):
         cache = ExtensionCache(tmp_path)
-        cache.store("fp", LP, [1.0, 2.0], [0.5, 1.5], 2)
-        assert cache.load("fp", LP, [1.0, 2.0, 4.0]) is None
-        assert cache.load("fp", LP, [1.0, 2.0])["values"] == [0.5, 1.5]
+        cache.store("fp", [1.0, 2.0], [0.5, 1.5], 2)
+        assert cache.load("fp", [1.0, 2.0, 4.0]) is None
+        assert cache.load("fp", [1.0, 2.0])["values"] == [0.5, 1.5]
 
     def test_fingerprint_separates_entries(self, tmp_path):
         cache = ExtensionCache(tmp_path)
-        cache.store("fp-a", LP, GRID, [1.0, 2.0, 3.0], 3)
-        assert cache.load("fp-b", LP, GRID) is None
+        cache.store("fp-a", GRID, [1.0, 2.0, 3.0], 3)
+        assert cache.load("fp-b", GRID) is None
 
     def test_version_separates_entries(self, tmp_path):
         old = ExtensionCache(tmp_path, version="0.0.1")
         new = ExtensionCache(tmp_path, version="0.0.2")
-        old.store("fp", LP, GRID, [1.0, 2.0, 3.0], 3)
-        assert new.load("fp", LP, GRID) is None
-        assert old.load("fp", LP, GRID) is not None
+        old.store("fp", GRID, [1.0, 2.0, 3.0], 3)
+        assert new.load("fp", GRID) is None
+        assert old.load("fp", GRID) is not None
 
     def test_grid_int_float_equivalent(self, tmp_path):
         """The 2^j grids arrive as ints from power_of_two_grid and as
         floats from JSON round-trips: one entry either way."""
         cache = ExtensionCache(tmp_path)
-        cache.store("fp", LP, [1, 2, 4], [0.0, 1.0, 2.0], 3)
-        assert cache.load("fp", LP, [1.0, 2.0, 4.0])["values"] == [
+        cache.store("fp", [1, 2, 4], [0.0, 1.0, 2.0], 3)
+        assert cache.load("fp", [1.0, 2.0, 4.0])["values"] == [
             0.0, 1.0, 2.0,
         ]
 
 
 class TestCacheRobustness:
     def _store_one(self, cache):
-        return cache.store("fp", LP, GRID, [1.0, 2.0, 3.0], 3)
+        return cache.store("fp", GRID, [1.0, 2.0, 3.0], 3)
 
     def test_truncated_file_is_deleted_miss(self, tmp_path):
         cache = ExtensionCache(tmp_path)
@@ -100,19 +84,19 @@ class TestCacheRobustness:
         path = cache.path_for(key)
         with open(path, "r+", encoding="utf-8") as handle:
             handle.truncate(10)
-        assert cache.load("fp", LP, GRID) is None
+        assert cache.load("fp", GRID) is None
         assert not os.path.exists(path)
         assert cache.stats.invalidations == 1
         # The slot rebuilds cleanly.
         self._store_one(cache)
-        assert cache.load("fp", LP, GRID)["values"] == [1.0, 2.0, 3.0]
+        assert cache.load("fp", GRID)["values"] == [1.0, 2.0, 3.0]
 
     def test_garbage_bytes_are_deleted_miss(self, tmp_path):
         cache = ExtensionCache(tmp_path)
         key = self._store_one(cache)
         with open(cache.path_for(key), "wb") as handle:
             handle.write(b"\x00\xff\x00garbage")
-        assert cache.load("fp", LP, GRID) is None
+        assert cache.load("fp", GRID) is None
         assert not os.path.exists(cache.path_for(key))
 
     def test_tampered_record_is_deleted_miss(self, tmp_path):
@@ -125,7 +109,7 @@ class TestCacheRobustness:
         record["fingerprint"] = "someone-else"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(record, handle)
-        assert cache.load("fp", LP, GRID) is None
+        assert cache.load("fp", GRID) is None
         assert not os.path.exists(path)
 
     def test_non_finite_values_rejected(self, tmp_path):
@@ -136,12 +120,12 @@ class TestCacheRobustness:
         record["values"] = [1.0, 2.0, float("nan")]
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(record, handle)
-        assert cache.load("fp", LP, GRID) is None
+        assert cache.load("fp", GRID) is None
 
     def test_wrong_value_count_rejected(self, tmp_path):
         cache = ExtensionCache(tmp_path)
         with pytest.raises(ValueError, match="3-point grid"):
-            cache.store("fp", LP, GRID, [1.0], 3)
+            cache.store("fp", GRID, [1.0], 3)
 
     def test_atomic_layout_no_tmp_left(self, tmp_path):
         cache = ExtensionCache(tmp_path)
@@ -207,7 +191,7 @@ class TestSessionWarmRestart:
         session = ReleaseSession(extension_cache=cache)
         grid = power_of_two_grid(compact.number_of_vertices())
         cache.store(
-            compact.fingerprint(), DEFAULT_EXTENSION_OPTIONS, grid,
+            compact.fingerprint(), grid,
             [0.0] * len(grid), 10**6,
         )
         release = session.query("cc", epsilon=1.0, graph=compact, seed=4)
@@ -247,12 +231,8 @@ class TestSessionWarmRestart:
         )
         n_grid = power_of_two_grid(compact.number_of_vertices())
         fp = compact.fingerprint()
-        assert session.cache.load(
-            fp, DEFAULT_EXTENSION_OPTIONS, n_grid
-        ) is not None
-        assert session.cache.load(
-            fp, DEFAULT_EXTENSION_OPTIONS, power_of_two_grid(4)
-        ) is not None
+        assert session.cache.load(fp, n_grid) is not None
+        assert session.cache.load(fp, power_of_two_grid(4)) is not None
         assert len(session.cache) == 2
 
 
@@ -366,15 +346,15 @@ class TestReadThenPublishRace:
         """(path, publish, load, expected) for one record kind."""
         if kind == "table":
             return (
-                reader.path_for(reader.key(self.FP, LP, GRID)),
-                lambda: writer.store(self.FP, LP, GRID, [1.0] * len(GRID), 3),
-                lambda: reader.load(self.FP, LP, GRID),
+                reader.path_for(reader.key(self.FP, GRID)),
+                lambda: writer.store(self.FP, GRID, [1.0] * len(GRID), 3),
+                lambda: reader.load(self.FP, GRID),
                 lambda record: record["values"] == [1.0] * len(GRID),
             )
         return (
-            reader.component_path_for(reader.component_key(self.FP, LP, GRID)),
-            lambda: writer.store_component(self.FP, LP, GRID, {1.0: 0.5}),
-            lambda: reader.load_component(self.FP, LP, GRID),
+            reader.component_path_for(reader.component_key(self.FP, GRID)),
+            lambda: writer.store_component(self.FP, GRID, {1.0: 0.5}),
+            lambda: reader.load_component(self.FP, GRID),
             lambda table: table == {1.0: 0.5},
         )
 
@@ -430,9 +410,9 @@ class TestTwoProcessStoreRace:
             f"sys.path.insert(0, {_SRC!r})\n"
             "from repro.service import ExtensionCache\n"
             f"cache = ExtensionCache({root!r})\n"
-            f"lp, grid = {LP!r}, {GRID!r}\n"
+            f"grid = {GRID!r}\n"
             f"for _ in range({iterations}):\n"
-            f"    cache.store({self.FP!r}, lp, grid,"
+            f"    cache.store({self.FP!r}, grid,"
             f" [float({writer_id})] * len(grid), 3)\n"
             "print('done')\n"
         )
@@ -458,7 +438,7 @@ class TestTwoProcessStoreRace:
         seen_table = False
         try:
             while any(w.poll() is None for w in writers):
-                record = reader.load(self.FP, LP, GRID)
+                record = reader.load(self.FP, GRID)
                 if record is None:
                     # Only legal before the first table ever lands; a
                     # None *after* that would mean a reader-visible
@@ -486,7 +466,7 @@ class TestTwoProcessStoreRace:
             for name in names
         ]
         assert len(files) == 1
-        final = reader.load(self.FP, LP, GRID)
+        final = reader.load(self.FP, GRID)
         assert tuple(final["values"]) in {tuple(v) for v in allowed}
         assert final["true_fsf"] == 3
         # (No "reader overlapped the writers" liveness assert: under a

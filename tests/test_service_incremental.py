@@ -26,7 +26,6 @@ from repro.service.cache import (
 from repro.service.streaming import parse_edit_event, serve_edit_stream
 from repro.storage import atomic_write_json
 
-LP = {"solver": "highs"}
 GRID = [1.0, 2.0, 4.0]
 FP = "a" * 64
 
@@ -55,21 +54,13 @@ def _release_value(session: ReleaseSession, graph: CompactGraph, seed: int):
 # ----------------------------------------------------------------------
 class TestComponentKey:
     def test_disjoint_from_graph_key_space(self):
-        assert component_extension_key(FP, LP, GRID) != extension_key(
-            FP, LP, GRID
-        )
+        assert component_extension_key(FP, GRID) != extension_key(FP, GRID)
 
     def test_sensitive_to_every_coordinate(self):
-        base = component_extension_key(FP, LP, GRID)
-        assert component_extension_key("b" * 64, LP, GRID) != base
-        assert component_extension_key(FP, {"solver": "glpk"}, GRID) != base
-        assert component_extension_key(FP, LP, [1.0, 2.0]) != base
-        assert component_extension_key(FP, LP, GRID, version="0.1") != base
-
-    def test_lp_option_order_is_canonical(self):
-        assert component_extension_key(
-            FP, {"a": 1, "b": 2}, GRID
-        ) == component_extension_key(FP, {"b": 2, "a": 1}, GRID)
+        base = component_extension_key(FP, GRID)
+        assert component_extension_key("b" * 64, GRID) != base
+        assert component_extension_key(FP, [1.0, 2.0]) != base
+        assert component_extension_key(FP, GRID, version="0.1") != base
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +70,8 @@ class TestExtensionCacheComponents:
     def test_round_trip_is_exact(self, tmp_path):
         cache = ExtensionCache(tmp_path)
         table = {1.0: 0.1, 2.0: 1 / 3, 4.0: 11.0}
-        cache.store_component(FP, LP, GRID, table)
-        loaded = cache.load_component(FP, LP, GRID)
+        cache.store_component(FP, GRID, table)
+        loaded = cache.load_component(FP, GRID)
         assert loaded == table
         assert all(loaded[d] == table[d] for d in table)
         assert cache.stats.component_stores == 1
@@ -88,13 +79,13 @@ class TestExtensionCacheComponents:
 
     def test_missing_component_is_a_miss(self, tmp_path):
         cache = ExtensionCache(tmp_path)
-        assert cache.load_component(FP, LP, GRID) is None
+        assert cache.load_component(FP, GRID) is None
         assert cache.stats.component_misses == 1
 
     def test_component_records_live_under_their_own_subroot(self, tmp_path):
         cache = ExtensionCache(tmp_path)
-        cache.store_component(FP, LP, GRID, {1.0: 1.0})
-        key = cache.component_key(FP, LP, GRID)
+        cache.store_component(FP, GRID, {1.0: 1.0})
+        key = cache.component_key(FP, GRID)
         path = cache.component_path_for(key)
         assert os.path.exists(path)
         assert os.path.dirname(os.path.dirname(path)) == os.path.join(
@@ -105,11 +96,11 @@ class TestExtensionCacheComponents:
 
     def test_torn_record_is_deleted_and_missed(self, tmp_path):
         cache = ExtensionCache(tmp_path)
-        cache.store_component(FP, LP, GRID, {1.0: 1.0})
-        path = cache.component_path_for(cache.component_key(FP, LP, GRID))
+        cache.store_component(FP, GRID, {1.0: 1.0})
+        path = cache.component_path_for(cache.component_key(FP, GRID))
         with open(path, "w") as fh:
             fh.write('{"fingerprint": "a')  # torn mid-write
-        assert cache.load_component(FP, LP, GRID) is None
+        assert cache.load_component(FP, GRID) is None
         assert not os.path.exists(path)
 
     @pytest.mark.parametrize(
@@ -125,12 +116,12 @@ class TestExtensionCacheComponents:
     )
     def test_tampered_record_is_invalidated(self, tmp_path, tamper):
         cache = ExtensionCache(tmp_path)
-        cache.store_component(FP, LP, GRID, {1.0: 1.0})
-        path = cache.component_path_for(cache.component_key(FP, LP, GRID))
+        cache.store_component(FP, GRID, {1.0: 1.0})
+        path = cache.component_path_for(cache.component_key(FP, GRID))
         record = json.load(open(path))
         record.update(tamper)
         atomic_write_json(path, record)
-        assert cache.load_component(FP, LP, GRID) is None
+        assert cache.load_component(FP, GRID) is None
         assert not os.path.exists(path)
 
 
@@ -204,10 +195,6 @@ class TestSessionPromotion:
             "component_promotions",
         ):
             assert field in stats
-
-    def test_component_memo_size_validated(self):
-        with pytest.raises(ValueError):
-            ReleaseSession(component_memo_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +341,8 @@ class TestPromotionDifferential:
     serve the same edit stream to identical records."""
 
     @staticmethod
-    def _serve_both(lines, base, promoting, **session_options):
-        cold = ReleaseSession(component_promotion=False, **session_options)
+    def _serve_both(lines, base, promoting):
+        cold = ReleaseSession(component_promotion=False)
         warm_records = list(serve_edit_stream(lines, promoting, base))
         assert warm_records == list(serve_edit_stream(lines, cold, base))
         assert not any("error" in record for record in warm_records)
@@ -380,34 +367,6 @@ class TestPromotionDifferential:
         self._serve_both(lines, base, restart)
         assert restart.stats.disk_warm_starts == 0
         assert restart.cache.stats.component_hits > 0
-
-    @staticmethod
-    def _default_promotions(lines, base) -> int:
-        session = ReleaseSession()
-        list(serve_edit_stream(lines, session, base))
-        return session.stats.component_promotions
-
-    def test_unbatched_trees_are_candidates(self):
-        options = {"batched_certificates": False}
-        base = _dust_and_communities()
-        lines = _mixed_stream(base, {})
-        promoting = ReleaseSession(extension_options=options)
-        self._serve_both(lines, base, promoting, extension_options=options)
-        # Trees with max degree >= 2 now reach repair, so they are
-        # promoted too.
-        assert promoting.stats.component_promotions > self._default_promotions(
-            lines, base
-        )
-
-    def test_without_fast_paths(self):
-        options = {"use_fast_paths": False}
-        base = _dust_and_communities()
-        lines = _mixed_stream(base, options)
-        promoting = ReleaseSession(extension_options=options)
-        self._serve_both(lines, base, promoting, extension_options=options)
-        assert promoting.stats.component_promotions > self._default_promotions(
-            _mixed_stream(base, {}), base
-        )
 
     def test_non_default_delta_max_grid(self):
         options = {"delta_max": 6}

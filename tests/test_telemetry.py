@@ -61,7 +61,7 @@ class TestCounter:
         with pytest.raises(telemetry.MetricError, match="already registered"):
             registry.counter("c_total", labels=("y",))
         with pytest.raises(telemetry.MetricError, match="already registered"):
-            registry.gauge("c_total", labels=("x",))
+            registry.histogram("c_total", labels=("x",))
 
     def test_bad_names_rejected(self, registry):
         with pytest.raises(telemetry.MetricError, match="metric name"):
@@ -82,15 +82,6 @@ class TestCounter:
         for t in threads:
             t.join()
         assert c.total() == 8000.0
-
-
-class TestGauge:
-    def test_set_inc_value(self, registry):
-        g = registry.gauge("g", labels=("shard",))
-        g.set(4.0, shard="0")
-        g.inc(shard="0")
-        g.inc(-2.0, shard="0")  # gauges may decrease
-        assert g.value(shard="0") == 3.0
 
 
 class TestHistogram:
@@ -210,14 +201,6 @@ class TestSnapshotMerge:
         assert json.loads(json.dumps(snap)) == snap
         again = self._worker_snapshot({"a": 2, "b": 1}, [0.3])
         assert snap == again  # label walk order is sorted, not insertion
-
-    def test_gauge_merge_keeps_incoming(self):
-        r1 = MetricsRegistry()
-        r1.gauge("g").set(1.0)
-        r2 = MetricsRegistry()
-        r2.gauge("g").set(9.0)
-        merged = telemetry.merge_snapshots([r1.snapshot(), r2.snapshot()])
-        assert merged["g"]["values"] == [[[], 9.0]]
 
     def test_mismatched_buckets_refuse_merge(self):
         r1 = MetricsRegistry()
