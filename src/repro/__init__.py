@@ -66,11 +66,14 @@ from .graphs import (
     write_edge_list,
 )
 
-# Bumped whenever cell semantics change: the result store folds the
-# version into its content-addressed keys, so stored sweeps are never
-# silently reused across releases that sample or compute differently
-# (1.2.0: geometric/planted cells now draw from the compact samplers).
-__version__ = "1.3.0"
+# Bumped whenever cell semantics change or any bit of an f_Δ value can
+# move: it is the only code coordinate of the sweep result store's keys
+# and of the extension caches' keys, so stored sweeps and tables are
+# never silently reused across releases that sample or compute
+# differently (1.2.0: geometric/planted cells now draw from the compact
+# samplers; 1.4.0: the warm-started cutting plane and the seed-master
+# certificate of repro.lp.forest_core).
+__version__ = "1.4.0"
 
 from .core import (
     extension_for,

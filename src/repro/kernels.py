@@ -119,14 +119,20 @@ def greedy_capped_forest(
     order: list[int],
     caps: np.ndarray,
 ) -> tuple[list[int], np.ndarray]:
-    """Greedy forest respecting per-vertex degree caps."""
+    """Greedy forest respecting per-vertex degree caps.
+
+    The loop indexes Python lists, not numpy arrays: column-generation
+    seeding runs it 24 times per call, and a numpy scalar read costs
+    several list reads.
+    """
     uf = _IntUnionFind(n)
-    degree = np.zeros(n, dtype=np.int64)
+    ends_u, ends_v, cap = u.tolist(), v.tolist(), caps.tolist()
+    degree = [0] * n
     chosen_list: list[int] = []
     for j in order:
-        a, b = int(u[j]), int(v[j])
-        if degree[a] < caps[a] and degree[b] < caps[b] and uf.union(a, b):
+        a, b = ends_u[j], ends_v[j]
+        if degree[a] < cap[a] and degree[b] < cap[b] and uf.union(a, b):
             chosen_list.append(j)
             degree[a] += 1
             degree[b] += 1
-    return chosen_list, degree
+    return chosen_list, np.array(degree, dtype=np.int64)

@@ -60,6 +60,24 @@ depends on ``G`` and ``Δ`` alone, so they only decide how its optimum
 is found.  Every result of :func:`solve_component`, memo hits
 included, is counted in ``repro_lp_certificates_total{status}``
 (:data:`CERTIFICATE_STATUSES`).
+
+The sandwich's cutting plane carries a **seed-master certificate**.
+When its first LP already sits at the whole-vertex-set bound ``n − 1``
+but is not yet feasible, column generation's first master over its seed
+pool is solved once: a mixture of Δ-bounded forests, so a lower bound.
+If it reaches ``n − 1`` within ``1e-7``, the window column generation
+certifies at, ``f_Δ`` is settled as ``exact`` after one round instead
+of after a cutting plane that can only stall at ``n − 1`` (the common
+case on mean-degree-3 giant components at Δ ≥ 4).  The value is the one
+column generation returns after such a stall, which hands it the same
+seed pool and bound and stops at the same master.  Where the skipped
+rounds would instead have reached a feasible LP point, that point's
+value can lie a few ulps above the master's, inside the same window.
+
+Any change that can move a bit of an ``f_Δ`` value bumps
+``repro.__version__``: the version is the only code coordinate of the
+extension caches' and the sweep store's keys, so values computed by
+older code are never served from them.
 """
 
 from __future__ import annotations
@@ -352,6 +370,14 @@ def _solve_component_uncached(
     *,
     use_fast_paths: bool,
 ) -> CoreLPResult:
+    """The ``auto`` strategy of :func:`solve_component`, unmemoized.
+
+    Above :data:`EXACT_THRESHOLD` the non-strict cutting plane runs
+    first; it returns ``exact`` when the oracle finds its LP point
+    feasible or when the seed-master certificate settles ``f_Δ = n − 1``
+    after round 1.  Otherwise its last LP value is an outer bound, and
+    column generation closes the window from below or snaps it.
+    """
     if (
         use_fast_paths
         and m == n - 1
@@ -882,6 +908,13 @@ def cutting_plane_component(
     stalled objective or the round cap returns ``value = 0`` with
     ``gap`` set to the last LP value (a pure outer bound for ``auto`` to
     refine), or raises when ``strict``.
+
+    Unless ``strict``, a first-round LP value within ``1e-9`` of
+    ``n − 1`` that the oracle still cuts off runs the seed-master
+    certificate (:func:`_seed_master_certificate`, one cold master
+    inside an ``lp.colgen`` span): if it reaches ``n − 1``, the result
+    is ``exact`` with its value and forest mixture, else the loop goes
+    on unchanged.  The strict loop is the reference and never runs it.
     """
     u, v = _as_edge_arrays(u, v)
     m = u.size
@@ -920,6 +953,10 @@ def cutting_plane_component(
             return CoreLPResult(
                 value, x, round_number, total_added, 0.0, "exact"
             )
+        if round_number == 1 and not strict and lp_value >= target - 1e-9:
+            certified = _seed_master_certificate(n, u, v, delta)
+            if certified is not None:
+                return certified
         if lp_value >= last_value - 1e-9:
             stall += 1
             if stall >= _STALL_ROUNDS and not strict:
@@ -945,6 +982,37 @@ def cutting_plane_component(
     return CoreLPResult(
         0.0, np.zeros(m), max_rounds, total_added,
         min(last_value, target), "outer-bound",
+    )
+
+
+def _seed_master_certificate(
+    n: int, u: np.ndarray, v: np.ndarray, delta: float
+) -> Optional[CoreLPResult]:
+    """Certify ``f_Δ = n − 1`` from column generation's seed master.
+
+    Called when the first cutting-plane LP already sits at the
+    whole-vertex-set bound ``n − 1`` but is not yet feasible.  The
+    master over the seed pool (one iteration, external bound ``n − 1``)
+    is a feasible mixture of Δ-bounded forests, so its value is a lower
+    bound; if it is within :data:`_GAP_TOLERANCE` of ``n − 1`` — the
+    window column generation certifies at — the optimum is settled.
+    Returns ``None`` otherwise, and the cutting plane goes on.
+    """
+    target = float(n - 1)
+    with telemetry.span("lp.colgen"):
+        cg = column_generation_component(
+            n, u, v, delta, max_iterations=1, external_upper_bound=target
+        )
+    if cg.value < target - _GAP_TOLERANCE:
+        return None
+    # lp_rounds: the cutting plane's first round plus the master.
+    return CoreLPResult(
+        min(max(cg.value, 0.0), target),
+        cg.x,
+        1 + cg.lp_rounds,
+        cg.constraints_added,
+        0.0,
+        "exact",
     )
 
 

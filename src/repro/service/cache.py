@@ -16,8 +16,9 @@ SHA-256 of exactly those coordinates:
 
 * ``CompactGraph.fingerprint()`` — the graph content hash;
 * the candidate Δ grid, canonically serialized;
-* the library version (a code change can never silently reuse stale
-  tables).
+* the library version ``repro.__version__``, bumped by any change that
+  can move a bit of an ``f_Δ`` value, so tables written by older code
+  are never found.
 
 The LP configuration is fixed in :mod:`repro.lp.forest_core`, so it is
 not a coordinate.  Graphs with equal fingerprints but different grids

@@ -19,8 +19,9 @@ from repro.lp import forest_core
 
 from .strategies import graph_arrays
 
-# G(15, 0.26) drawn with seed 57.  At Δ = 2 the warm-started cutting
-# plane certifies f_2 = 14 exactly; capped at one round (the
+# G(15, 0.26) drawn with seed 57.  At Δ = 2 the first cutting-plane LP
+# is 14 = n − 1, the seed master falls short of it, and round 2
+# certifies f_2 = 14 exactly; capped at one round (the
 # ``one_cutting_plane_round`` fixture) it leaves column generation a
 # window that snaps to 14, the value the exhaustive LP gives.
 SNAPPED_COMPONENT = (
@@ -29,6 +30,27 @@ SNAPPED_COMPONENT = (
               5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 8, 10, 10, 10, 11]),
     np.array([3, 4, 8, 12, 6, 9, 11, 4, 8, 14, 6, 7, 8, 10, 12, 11, 7,
               9, 12, 8, 9, 10, 12, 8, 10, 9, 10, 11, 12, 12, 13, 14, 14]),
+)
+
+# A connected G(14, 18).  At Δ = 2 the first cutting-plane LP is 12,
+# below the whole-set bound n − 1 = 13, and round 2 certifies f_2 = 12;
+# at Δ = 4 the first LP is 13 and the seed-master certificate settles it.
+BELOW_BOUND_COMPONENT = (
+    14,
+    np.array([0, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 7, 9, 9, 10]),
+    np.array([1, 3, 5, 9, 10, 12, 8, 10, 4, 6, 8, 6, 7, 10, 8, 11, 12, 13]),
+)
+
+# A connected G(19, 36).  At Δ = 3 the first cutting-plane LP is 18 =
+# n − 1, the seed master falls short of it, and the cutting plane stalls
+# at 18: an outer bound after four rounds.
+STALLING_COMPONENT = (
+    19,
+    np.array([0, 0, 0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4,
+              4, 4, 5, 5, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 9, 11, 14, 14]),
+    np.array([1, 4, 11, 14, 3, 6, 7, 9, 14, 4, 10, 12, 17, 18, 5, 8, 10, 11,
+              12, 18, 7, 16, 13, 14, 10, 12, 15, 17, 18, 11, 13, 16, 14, 14,
+              16, 17]),
 )
 
 
@@ -40,6 +62,24 @@ def one_cutting_plane_round(monkeypatch):
     forest_core.clear_solve_cache()
     monkeypatch.setattr(forest_core, "_CUTTING_PLANE_ROUNDS", 1)
     yield
+    forest_core.clear_solve_cache()
+
+
+@pytest.fixture
+def certificate_attempts(monkeypatch):
+    """Record the result of every seed-master certificate attempt
+    (``None`` when declined).  A memo hit makes no attempt, so every
+    memoized solve is dropped before and after."""
+    forest_core.clear_solve_cache()
+    attempts = []
+    certify = forest_core._seed_master_certificate
+
+    def record(*args):
+        attempts.append(certify(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(forest_core, "_seed_master_certificate", record)
+    yield attempts
     forest_core.clear_solve_cache()
 
 
@@ -212,7 +252,7 @@ class TestCertificateCounter:
                 *SNAPPED_COMPONENT, 2, max_iterations=1
             ).status,
             forest_core.cutting_plane_component(
-                count, u, v, 2, 1e-7, 1, strict=False
+                *BELOW_BOUND_COMPONENT, 2, 1e-7, 1, strict=False
             ).status,
         }
         assert produced == set(forest_core.CERTIFICATE_STATUSES)
@@ -265,6 +305,105 @@ class TestSnappedAgainstExhaustive:
             assert value == pytest.approx(exact.value, abs=1e-6), (count, delta)
 
 
+def _giant_component_corpus(seed: int, count: int):
+    """Connected uniform G(n, 3n/2) graphs with n drawn from [40, 64]:
+    the mean-degree-3 giant components that dominate LP time, as
+    canonical arrays (draws that are not connected are skipped)."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    while len(corpus) < count:
+        n = int(rng.integers(40, 65))
+        u, v = np.triu_indices(n, 1)
+        pick = np.sort(rng.choice(u.size, size=3 * n // 2, replace=False))
+        graph = CompactGraph.from_edge_arrays(n, u[pick], v[pick])
+        if graph.is_connected():
+            corpus.append(graph_arrays(graph))
+    return corpus
+
+
+def _certified_solve(attempts, *args):
+    """``solve_component(*args)`` and whether its seed-master
+    certificate settled it (``attempts``: the fixture's record)."""
+    before = len(attempts)
+    result = forest_core.solve_component(*args)
+    return result, len(attempts) > before and attempts[-1] is not None
+
+
+class TestSeedMasterCertificate:
+    """A first cutting-plane LP at ``n − 1`` that is not yet feasible
+    asks column generation's seed master for ``n − 1`` before a second
+    round."""
+
+    def test_values_match_the_path_the_certificate_skips(
+        self, monkeypatch, certificate_attempts
+    ):
+        """A stalled cutting plane hands column generation the seed pool
+        and the bound the certificate uses, and it stops at the same
+        first master, so the value is the skipped path's bit for bit.
+        Where the skipped rounds would have certified in the cutting
+        plane instead, the LP optimum found there may sit a few ulps
+        above the master's feasible value, inside the certified window
+        (seed 4's first graph at Δ = 4: 46 against 46 − 9.9e-14)."""
+        solves = [
+            (component, delta)
+            for component in _giant_component_corpus(seed=4, count=12)
+            for delta in (1, 2, 4, 8)
+        ]
+        certified = [
+            _certified_solve(certificate_attempts, *component, delta)
+            for component, delta in solves
+        ]
+        assert sum(settled for _, settled in certified) >= 10, (
+            "the corpus no longer exercises the certificate"
+        )
+
+        forest_core.clear_solve_cache()
+        monkeypatch.setattr(
+            forest_core, "_seed_master_certificate", lambda *args: None
+        )
+        sandwiches = []
+        column_generation = forest_core.column_generation_component
+
+        def record(*args, **kwargs):
+            sandwiches.append(args)
+            return column_generation(*args, **kwargs)
+
+        monkeypatch.setattr(forest_core, "column_generation_component", record)
+        for (component, delta), (result, settled) in zip(solves, certified):
+            before = len(sandwiches)
+            skipped = forest_core.solve_component(*component, delta)
+            assert result.status == skipped.status
+            if settled and len(sandwiches) == before:
+                gap = skipped.value - result.value
+                assert 0.0 <= gap <= forest_core._GAP_TOLERANCE
+            else:
+                assert result.value.hex() == skipped.value.hex(), (
+                    component[0], delta
+                )
+
+    def test_certified_values_equal_the_exhaustive_lp(
+        self, certificate_attempts
+    ):
+        certified = []
+        for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
+            for delta in (1, 2, 3):
+                result, settled = _certified_solve(
+                    certificate_attempts, count, u, v, delta
+                )
+                if settled:
+                    certified.append((count, u, v, delta, result))
+        assert len(certified) >= 5, "the corpus no longer exercises the certificate"
+        for count, u, v, delta, result in certified:
+            exact = forest_core.exhaustive_component_value(count, u, v, delta)
+            assert abs(result.value - exact.value) <= 1e-9, (count, delta)
+            # ``x`` is the seed master's forest mixture: feasible, of
+            # that value.
+            degree = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
+            assert degree.max() <= delta + 1e-9
+            assert forest_core.violated_forest_sets(count, u, v, result.x) == []
+            assert result.x.sum() == pytest.approx(result.value, abs=1e-9)
+
+
 @st.composite
 def connected_components(draw, min_vertices: int = 4, max_vertices: int = 12):
     """A canonical connected component: a random spanning tree (vertex
@@ -315,18 +454,9 @@ class TestHighsModel:
         for delta in (2, 3):
             forest_core.solve_component(count, u, v, delta)
 
-    @pytest.mark.parametrize(
-        "component, delta, max_rounds",
-        [
-            (SNAPPED_COMPONENT, 2, 60),  # exact in 2 rounds
-            (SNAPPED_COMPONENT, 3, 60),  # stalls: outer bound
-            (SNAPPED_COMPONENT, 3, 2),  # round cap: last rows appended
-            (graph_arrays(complete_graph(14)), 2, 60),
-        ],
-    )
-    def test_one_model_per_call_with_rows_appended(
-        self, monkeypatch, component, delta, max_rounds
-    ):
+    @pytest.fixture
+    def models(self, monkeypatch):
+        """Every ``_HighsModel`` built, and every solve, in call order."""
         built, solved = [], []
 
         class Spy(forest_core._HighsModel):
@@ -339,14 +469,50 @@ class TestHighsModel:
                 return super().solve()
 
         monkeypatch.setattr(forest_core, "_HighsModel", Spy)
+        return built, solved
+
+    @pytest.mark.parametrize(
+        "component, delta, max_rounds, declined",
+        [
+            (BELOW_BOUND_COMPONENT, 2, 60, 0),  # exact in 2 rounds
+            (BELOW_BOUND_COMPONENT, 2, 1, 0),  # round cap: last rows appended
+            (SNAPPED_COMPONENT, 2, 60, 1),  # master short, exact in 2 rounds
+            (STALLING_COMPONENT, 3, 60, 1),  # master short, stalls: outer bound
+            (STALLING_COMPONENT, 3, 2, 1),  # master short, round cap
+        ],
+    )
+    def test_one_model_per_call_with_rows_appended(
+        self, models, component, delta, max_rounds, declined
+    ):
+        """One warm cutting-plane model per call; a first LP at ``n − 1``
+        adds the seed master's cold model, solved once after round 1."""
+        built, solved = models
         count, u, v = component
         result = forest_core.cutting_plane_component(
             count, u, v, delta, 1e-7, max_rounds, strict=False
         )
-        assert len(built) == 1
-        assert solved == built * result.lp_rounds
-        rows = built[0]._highs.getNumRow()
+        plane, *masters = built
+        assert len(masters) == declined
+        assert solved == [plane, *masters] + [plane] * (result.lp_rounds - 1)
+        rows = plane._highs.getNumRow()
         assert rows == count + 1 + result.constraints_added
+
+    @pytest.mark.parametrize(
+        "component, delta",
+        [(BELOW_BOUND_COMPONENT, 4), (graph_arrays(complete_graph(14)), 2)],
+    )
+    def test_certificate_solves_one_round_and_one_master(
+        self, models, component, delta
+    ):
+        built, solved = models
+        count, u, v = component
+        result = forest_core.cutting_plane_component(
+            count, u, v, delta, 1e-7, 60, strict=False
+        )
+        assert result.status == "exact" and result.value == count - 1
+        plane, master = built
+        assert solved == [plane, master]
+        assert plane._highs.getNumRow() == count + 1
 
     def test_master_solves_match_linprog_bit_for_bit(self, monkeypatch):
         problems = []
@@ -425,7 +591,8 @@ class TestLPSpans:
         return result, solve, children
 
     def test_cutting_plane_solve_records_one_highs_span_per_round(self):
-        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2)
+        # The first LP (12) stays below n − 1 = 13: no certificate attempt.
+        result, solve, children = self._traced(*BELOW_BOUND_COMPONENT, 2)
         names = [s.name for s in children(solve)]
         assert result.status == "exact" and result.lp_rounds == 2
         assert names.count("lp.highs") == result.lp_rounds
@@ -438,7 +605,18 @@ class TestLPSpans:
         result, solve, children = self._traced(*SNAPPED_COMPONENT, 2)
         names = [s.name for s in children(solve)]
         assert names.count("lp.highs") == names.count("lp.separation") == 1
-        (colgen,) = [s for s in children(solve) if s.name == "lp.colgen"]
+        # The declined seed-master certificate, then the sandwich.
+        certificate, colgen = [s for s in children(solve) if s.name == "lp.colgen"]
+        assert [s.name for s in children(certificate)] == ["lp.highs"]
         masters = [s.name for s in children(colgen)]
         assert masters and set(masters) == {"lp.highs"}
         assert len(masters) >= result.lp_rounds - 1
+
+    def test_certified_solve_records_one_round_and_the_seed_master(self):
+        result, solve, children = self._traced(*BELOW_BOUND_COMPONENT, 4)
+        assert result.status == "exact" and result.value == 13.0
+        assert [s.name for s in children(solve)] == [
+            "lp.highs", "lp.separation", "lp.colgen"
+        ]
+        (colgen,) = [s for s in children(solve) if s.name == "lp.colgen"]
+        assert [s.name for s in children(colgen)] == ["lp.highs"]
