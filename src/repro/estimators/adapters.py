@@ -35,6 +35,7 @@ from ..core.baselines import (
 from ..mechanisms.accountant import PrivacyAccountant
 from .base import Release
 from .generic import (
+    _RELEASES,
     GENERIC_MAX_VERTICES,
     GenericSpanningForestEstimator,
 )
@@ -52,16 +53,6 @@ __all__ = [
     "true_statistic_for",
     "GENERIC_MAX_VERTICES",
 ]
-
-# One bump per completed release, whatever the entry point (direct,
-# session, serve-batch worker, daemon executor).  The matching root
-# span makes ``repro profile``'s stage breakdown sum to the release
-# wall time.
-_RELEASES = telemetry.counter(
-    "repro_releases_total",
-    "Completed releases, by estimator",
-    labels=("estimator",),
-)
 
 
 class _SessionBound:

@@ -76,6 +76,10 @@ _COMMON_OPTIONS = (
     "down_sensitivity",
 )
 
+# One bump per completed release, whatever the entry point (direct,
+# session, serve-batch worker, daemon executor).  The matching root
+# span makes ``repro profile``'s stage breakdown sum to the release
+# wall time.
 _RELEASES = telemetry.counter(
     "repro_releases_total",
     "Completed releases, by estimator",

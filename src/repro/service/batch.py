@@ -402,8 +402,9 @@ def _worker_main(
              session.stats.to_dict()),
         ))
     session.persist_warm_extensions()
-    out_queue.put(("stats", worker_id, session.stats.to_dict()))
-    out_queue.put(("metrics", worker_id, telemetry.snapshot()))
+    out_queue.put(
+        ("done", worker_id, (session.stats.to_dict(), telemetry.snapshot()))
+    )
 
 
 def _worker_crash_record(raw: str, index: int, worker: int, exitcode) -> dict:
@@ -528,19 +529,18 @@ def serve_jsonl_parallel(
         worker_metrics: list[dict] = []
         latest_stats: dict[int, dict] = {}
         pending = set(dispatched)
-        stats_pending = set(range(workers))
-        metrics_pending = set(range(workers))
+        done_pending = set(range(workers))
         crashed: set[int] = set()
         idle_after_exit = 0
-        while pending or stats_pending or metrics_pending:
+        while pending or done_pending:
             # Reap crashed workers *every* pass, not only when the
             # result queue runs dry: a worker killed mid-batch is
             # surfaced promptly even while surviving workers are still
             # streaming responses.  Every request dispatched to the
             # dead worker and not yet answered becomes a structured
-            # error record in its slot; its *final* stats message is
-            # written off, but the snapshot piggybacked on its last
-            # delivered response still counts the work it finished.
+            # error record in its slot; its final stats-and-metrics
+            # message is written off, but the stats piggybacked on its
+            # last delivered response still count the work it finished.
             for w, process in enumerate(processes):
                 if (
                     w not in crashed
@@ -548,8 +548,7 @@ def serve_jsonl_parallel(
                     and process.exitcode not in (0, None)
                 ):
                     crashed.add(w)
-                    stats_pending.discard(w)
-                    metrics_pending.discard(w)
+                    done_pending.discard(w)
                     if w in latest_stats:
                         worker_stats.append(
                             {"worker": w, "crashed": True,
@@ -562,7 +561,7 @@ def serve_jsonl_parallel(
                                 w, process.exitcode,
                             )
                             pending.discard(index)
-            if not pending and not stats_pending and not metrics_pending:
+            if not pending and not done_pending:
                 break
             try:
                 kind, tag, payload = out_queue.get(timeout=0.25)
@@ -588,13 +587,12 @@ def serve_jsonl_parallel(
                 latest_stats[from_worker] = stats_snapshot
                 pending.discard(tag)
                 raw_by_index.pop(tag, None)
-            elif kind == "stats":
-                worker_stats.append({"worker": tag, **payload})
-                stats_pending.discard(tag)
+            else:  # "done": final stats and registry snapshot
+                stats, snapshot = payload
+                worker_stats.append({"worker": tag, **stats})
+                worker_metrics.append(snapshot)
+                done_pending.discard(tag)
                 latest_stats.pop(tag, None)
-            else:  # "metrics"
-                worker_metrics.append(payload)
-                metrics_pending.discard(tag)
     finally:
         for process in processes:
             process.join(timeout=10.0)

@@ -61,6 +61,7 @@ from ..storage import (
     open_json_record,
     sharded_path,
 )
+from ..telemetry import count_field
 
 __all__ = [
     "ExtensionCache",
@@ -121,76 +122,20 @@ def component_extension_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_DISK_LOOKUPS = telemetry.counter(
-    "repro_extension_cache_lookups_total",
-    "Persistent extension-cache lookups, by result",
-    labels=("result",),
-)
-_DISK_STORES = telemetry.counter(
-    "repro_extension_cache_stores_total",
-    "Warm tables written to the persistent extension cache",
-)
-_DISK_INVALIDATIONS = telemetry.counter(
-    "repro_extension_cache_invalidations_total",
-    "Persistent extension-cache entries dropped as invalid",
-)
-_COMPONENT_LOOKUPS = telemetry.counter(
-    "repro_component_cache_lookups_total",
-    "Persistent per-component cache lookups, by result",
-    labels=("result",),
-)
-_COMPONENT_STORES = telemetry.counter(
-    "repro_component_cache_stores_total",
-    "Component value tables written to the persistent cache",
-)
-
-
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Counters describing how the on-disk cache is doing."""
+    """Read-only view of one cache's counts: each field reads a series
+    of its child registry ``metrics``, as an int."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalidations: int = 0
-    component_hits: int = 0
-    component_misses: int = 0
-    component_stores: int = 0
+    metrics: telemetry.MetricsRegistry
 
-    def hit_rate(self) -> float:
-        """Fraction of disk lookups that returned a usable table."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    # Recorders mirror every count onto the process-wide registry
-    # (``repro_extension_cache_*``) for /metrics and CLI summaries.
-    def record_hit(self) -> None:
-        self.hits += 1
-        _DISK_LOOKUPS.inc(result="hit")
-
-    def record_miss(self) -> None:
-        self.misses += 1
-        _DISK_LOOKUPS.inc(result="miss")
-
-    def record_store(self) -> None:
-        self.stores += 1
-        _DISK_STORES.inc()
-
-    def record_invalidation(self) -> None:
-        self.invalidations += 1
-        _DISK_INVALIDATIONS.inc()
-
-    def record_component_hit(self) -> None:
-        self.component_hits += 1
-        _COMPONENT_LOOKUPS.inc(result="hit")
-
-    def record_component_miss(self) -> None:
-        self.component_misses += 1
-        _COMPONENT_LOOKUPS.inc(result="miss")
-
-    def record_component_store(self) -> None:
-        self.component_stores += 1
-        _COMPONENT_STORES.inc()
+    hits = count_field("repro_extension_cache_lookups_total", result="hit")
+    misses = count_field("repro_extension_cache_lookups_total", result="miss")
+    stores = count_field("repro_extension_cache_stores_total")
+    invalidations = count_field("repro_extension_cache_invalidations_total")
+    component_hits = count_field("repro_component_cache_lookups_total", result="hit")
+    component_misses = count_field("repro_component_cache_lookups_total", result="miss")
+    component_stores = count_field("repro_component_cache_stores_total")
 
 
 class ExtensionCache:
@@ -221,7 +166,30 @@ class ExtensionCache:
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.version = version
-        self.stats = CacheStats()
+        self.metrics = telemetry.MetricsRegistry(parent=telemetry.default_registry())
+        self._lookups = self.metrics.counter(
+            "repro_extension_cache_lookups_total",
+            "Persistent extension-cache lookups, by result",
+            labels=("result",),
+        )
+        self._stores = self.metrics.counter(
+            "repro_extension_cache_stores_total",
+            "Warm tables written to the persistent extension cache",
+        )
+        self._invalidations = self.metrics.counter(
+            "repro_extension_cache_invalidations_total",
+            "Persistent extension-cache entries dropped as invalid",
+        )
+        self._component_lookups = self.metrics.counter(
+            "repro_component_cache_lookups_total",
+            "Persistent per-component cache lookups, by result",
+            labels=("result",),
+        )
+        self._component_stores = self.metrics.counter(
+            "repro_component_cache_stores_total",
+            "Component value tables written to the persistent cache",
+        )
+        self.stats = CacheStats(self.metrics)
 
     # ------------------------------------------------------------------
     def key(
@@ -261,9 +229,9 @@ class ExtensionCache:
             lambda record: self._valid(record, fingerprint, grid),
         )
         if record is None:
-            self.stats.record_miss()
+            self._lookups.inc(result="miss")
             return None
-        self.stats.record_hit()
+        self._lookups.inc(result="hit")
         return record
 
     def store(
@@ -291,7 +259,7 @@ class ExtensionCache:
                 "version": self.version,
             },
         )
-        self.stats.record_store()
+        self._stores.inc()
         return key
 
     # ------------------------------------------------------------------
@@ -332,9 +300,9 @@ class ExtensionCache:
             ),
         )
         if record is None:
-            self.stats.record_component_miss()
+            self._component_lookups.inc(result="miss")
             return None
-        self.stats.record_component_hit()
+        self._component_lookups.inc(result="hit")
         return {float(d): float(v) for d, v in record["table"]}
 
     def store_component(
@@ -364,7 +332,7 @@ class ExtensionCache:
                 "version": self.version,
             },
         )
-        self.stats.record_component_store()
+        self._component_stores.inc()
         return key
 
     def _valid_component(
@@ -426,7 +394,7 @@ class ExtensionCache:
             if found.record is not None and valid(found.record):
                 return found.record
             if found.discard():
-                self.stats.record_invalidation()
+                self._invalidations.inc()
             return None
 
     def _invalidate_path(self, path: str) -> bool:
@@ -434,7 +402,7 @@ class ExtensionCache:
             os.unlink(path)
         except OSError:
             return False
-        self.stats.record_invalidation()
+        self._invalidations.inc()
         return True
 
     def _valid(

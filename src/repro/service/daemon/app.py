@@ -98,41 +98,8 @@ ERROR_CODES = {
 }
 
 
-# Daemon-level registry series (scraped via ``GET /metrics``).  The
-# tenant-labelled families only ever see validated tenant names, so the
-# label cardinality is bounded by the provisioned accounts.
-_REQUESTS = telemetry.counter(
-    "repro_daemon_requests_total",
-    "Release requests admitted past tenant validation, by tenant",
-    labels=("tenant",),
-)
-_RELEASES = telemetry.counter(
-    "repro_daemon_releases_total",
-    "Releases served and durably committed, by tenant",
-    labels=("tenant",),
-)
-_EPSILON = telemetry.counter(
-    "repro_daemon_epsilon_spent_total",
-    "Privacy budget spent on committed releases, by tenant",
-    labels=("tenant",),
-)
-_LATENCY = telemetry.histogram(
-    "repro_daemon_request_seconds",
-    "End-to-end release latency (compute + audit fsync), by tenant",
-    labels=("tenant",),
-)
-_ERRORS = telemetry.counter(
-    "repro_daemon_errors_total",
-    "Error responses, by structured admission-control code",
-    labels=("code",),
-)
-
-
-def _error_body(code: str, message: str, **extra) -> tuple[int, dict]:
-    _ERRORS.inc(code=code)
-    return ERROR_CODES[code], {
-        "error": {"code": code, "message": message}, **extra
-    }
+def _error_body(code: str, message: str) -> tuple[int, dict]:
+    return ERROR_CODES[code], {"error": {"code": code, "message": message}}
 
 
 class ReleaseDaemon:
@@ -205,8 +172,34 @@ class ReleaseDaemon:
         # Monotonic clock for uptime: wall clock (time.time) can step
         # under NTP correction, making uptime jump or go negative.
         self._started_monotonic = time.monotonic()
-        self.releases_served = 0
-        self.requests_rejected = 0
+        # Tenant-labelled series only ever see validated tenant names, so
+        # their label cardinality is bounded by the provisioned accounts.
+        self.metrics = telemetry.MetricsRegistry(parent=telemetry.default_registry())
+        self._requests = self.metrics.counter(
+            "repro_daemon_requests_total",
+            "Release requests admitted past tenant validation, by tenant",
+            labels=("tenant",),
+        )
+        self._releases = self.metrics.counter(
+            "repro_daemon_releases_total",
+            "Releases served and durably committed, by tenant",
+            labels=("tenant",),
+        )
+        self._epsilon = self.metrics.counter(
+            "repro_daemon_epsilon_spent_total",
+            "Privacy budget spent on committed releases, by tenant",
+            labels=("tenant",),
+        )
+        self._latency = self.metrics.histogram(
+            "repro_daemon_request_seconds",
+            "End-to-end release latency (compute + audit fsync), by tenant",
+            labels=("tenant",),
+        )
+        self._errors = self.metrics.counter(
+            "repro_daemon_errors_total",
+            "Error responses, by structured admission-control code",
+            labels=("code",),
+        )
         self.telemetry_log = (
             telemetry.TelemetryLog(telemetry_log_path)
             if telemetry_log_path is not None
@@ -228,7 +221,7 @@ class ReleaseDaemon:
                     request = await read_http_request(reader)
                 except HttpProtocolError as exc:
                     status, body = _error_body("malformed_request", str(exc))
-                    self.requests_rejected += 1
+                    self._errors.inc(code="malformed_request")
                     writer.write(
                         json_response_bytes(status, body, keep_alive=False)
                     )
@@ -243,8 +236,8 @@ class ReleaseDaemon:
                     status, body = _error_body(
                         "internal_error", f"{type(exc).__name__}: {exc}"
                     )
-                if status >= 400:
-                    self.requests_rejected += 1
+                if isinstance(body, dict) and "error" in body:
+                    self._errors.inc(code=body["error"]["code"])
                 if isinstance(body, str):
                     # /metrics is the one plain-text route (Prometheus
                     # exposition); everything else speaks JSON.
@@ -308,6 +301,15 @@ class ReleaseDaemon:
     # ------------------------------------------------------------------
     def uptime(self) -> float:
         return time.monotonic() - self._started_monotonic
+
+    @property
+    def releases_served(self) -> int:
+        return int(self._releases.total())
+
+    @property
+    def requests_rejected(self) -> int:
+        """Error responses sent; a degraded ``/healthz`` is not one."""
+        return int(self._errors.total())
 
     def _healthz_body(self) -> tuple[int, dict]:
         """Liveness + dependency probes.
@@ -405,7 +407,7 @@ class ReleaseDaemon:
         except InvalidTenantError as exc:
             return _error_body("invalid_tenant", str(exc))
         request_id = body.get("id")
-        _REQUESTS.inc(tenant=tenant)
+        self._requests.inc(tenant=tenant)
         request_started = time.perf_counter()
 
         estimator = body.get("estimator")
@@ -516,12 +518,11 @@ class ReleaseDaemon:
                     epsilon,
                     release_label(name, response.get("fingerprint"), seq),
                 )
-            self.releases_served += 1
             elapsed = time.perf_counter() - request_started
-            _RELEASES.inc(tenant=tenant)
+            self._releases.inc(tenant=tenant)
             if epsilon is not None:
-                _EPSILON.inc(epsilon, tenant=tenant)
-            _LATENCY.observe(elapsed, tenant=tenant)
+                self._epsilon.inc(epsilon, tenant=tenant)
+            self._latency.observe(elapsed, tenant=tenant)
             if self.telemetry_log is not None:
                 self.telemetry_log.event(
                     "release",

@@ -39,40 +39,8 @@ from ..estimators.registry import canonical_name, create, get_spec
 from ..graphs.compact import CompactGraph, as_compact
 from ..mechanisms.accountant import BudgetExceededError, PrivacyAccountant
 from ..mechanisms.gem import power_of_two_grid
+from ..telemetry import count_field
 from .cache import ExtensionCache, component_extension_key, extension_key
-
-# Registry twins of the per-session counters.  SessionStats stays the
-# JSON-safe per-session record (the sharded workers ship it across the
-# process boundary); the registry series aggregate across sessions and
-# surface in ``/metrics`` and the CLI summaries.
-_QUERIES = telemetry.counter(
-    "repro_session_queries_total", "Release queries answered by sessions"
-)
-_GRAPH_LOOKUPS = telemetry.counter(
-    "repro_session_graph_lookups_total",
-    "Session graph-cache lookups, by result",
-    labels=("result",),
-)
-_EVICTIONS = telemetry.counter(
-    "repro_session_evictions_total", "Session LRU graph evictions"
-)
-_EPSILON_SPENT = telemetry.counter(
-    "repro_session_epsilon_spent_total",
-    "Privacy budget spent by successful session queries",
-)
-_DISK_WARM_STARTS = telemetry.counter(
-    "repro_session_disk_warm_starts_total",
-    "Extensions preloaded from the persistent on-disk cache",
-)
-_COMPONENT_LOOKUPS = telemetry.counter(
-    "repro_session_component_lookups_total",
-    "Session component-table lookups (in-memory memo or disk), by result",
-    labels=("result",),
-)
-_COMPONENT_PROMOTIONS = telemetry.counter(
-    "repro_session_component_promotions_total",
-    "Component value tables promoted to the content-addressed layer",
-)
 
 __all__ = ["ReleaseSession", "SessionStats"]
 
@@ -80,9 +48,10 @@ __all__ = ["ReleaseSession", "SessionStats"]
 _COMPONENT_MEMO_SIZE = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionStats:
-    """Counters describing how well the per-graph cache is amortizing.
+    """Read-only view of one session's counts: each field reads a series
+    of its child registry ``metrics`` (an int; ``epsilon_spent`` a float).
 
     ``epsilon_spent`` accumulates the ε of every *successful* private
     query, whether or not the session carries a shared accountant —
@@ -95,72 +64,32 @@ class SessionStats:
     ``component_promotions`` the component tables promoted.
     """
 
-    queries: int = 0
-    graph_hits: int = 0
-    graph_misses: int = 0
-    evictions: int = 0
-    epsilon_spent: float = 0.0
-    disk_warm_starts: int = 0
-    component_hits: int = 0
-    component_misses: int = 0
-    component_promotions: int = 0
+    metrics: telemetry.MetricsRegistry
+
+    queries = count_field("repro_session_queries_total")
+    graph_hits = count_field("repro_session_graph_lookups_total", result="hit")
+    graph_misses = count_field("repro_session_graph_lookups_total", result="miss")
+    evictions = count_field("repro_session_evictions_total")
+    disk_warm_starts = count_field("repro_session_disk_warm_starts_total")
+    component_hits = count_field("repro_session_component_lookups_total", result="hit")
+    component_misses = count_field("repro_session_component_lookups_total", result="miss")
+    component_promotions = count_field("repro_session_component_promotions_total")
+
+    @property
+    def epsilon_spent(self) -> float:
+        return self.metrics.value("repro_session_epsilon_spent_total")
 
     def hit_rate(self) -> float:
         """Fraction of graph lookups served from the cache."""
         lookups = self.graph_hits + self.graph_misses
         return self.graph_hits / lookups if lookups else 0.0
 
-    # Increments route through these recorders so every per-session
-    # count also lands on the process-wide registry series.
-    def record_query(self) -> None:
-        self.queries += 1
-        _QUERIES.inc()
-
-    def record_graph_hit(self) -> None:
-        self.graph_hits += 1
-        _GRAPH_LOOKUPS.inc(result="hit")
-
-    def record_graph_miss(self) -> None:
-        self.graph_misses += 1
-        _GRAPH_LOOKUPS.inc(result="miss")
-
-    def record_eviction(self) -> None:
-        self.evictions += 1
-        _EVICTIONS.inc()
-
-    def record_epsilon_spent(self, epsilon: float) -> None:
-        self.epsilon_spent += epsilon
-        _EPSILON_SPENT.inc(epsilon)
-
-    def record_disk_warm_start(self) -> None:
-        self.disk_warm_starts += 1
-        _DISK_WARM_STARTS.inc()
-
-    def record_component_hit(self) -> None:
-        self.component_hits += 1
-        _COMPONENT_LOOKUPS.inc(result="hit")
-
-    def record_component_miss(self) -> None:
-        self.component_misses += 1
-        _COMPONENT_LOOKUPS.inc(result="miss")
-
-    def record_component_promotion(self) -> None:
-        self.component_promotions += 1
-        _COMPONENT_PROMOTIONS.inc()
-
     def to_dict(self) -> dict:
         """JSON-safe counters (used by the sharded serving workers)."""
-        return {
-            "queries": self.queries,
-            "graph_hits": self.graph_hits,
-            "graph_misses": self.graph_misses,
-            "evictions": self.evictions,
-            "epsilon_spent": self.epsilon_spent,
-            "disk_warm_starts": self.disk_warm_starts,
-            "component_hits": self.component_hits,
-            "component_misses": self.component_misses,
-            "component_promotions": self.component_promotions,
-        }
+        names = ("queries", "graph_hits", "graph_misses", "evictions",
+                 "epsilon_spent", "disk_warm_starts", "component_hits",
+                 "component_misses", "component_promotions")
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass
@@ -191,10 +120,9 @@ class ReleaseSession:
     allow_non_private:
         Permit zero-budget (exact) estimators on a budgeted session.
         Irrelevant when ``total_epsilon`` is ``None``.
-    cache_dir, extension_cache:
-        Optional persistent extension cache
-        (:class:`~repro.service.cache.ExtensionCache`): pass a
-        directory (``cache_dir``) or a ready-made cache object.  When
+    cache_dir:
+        Optional directory of a persistent extension cache
+        (:class:`~repro.service.cache.ExtensionCache`).  When
         set, an extension miss in the in-memory LRU consults the disk
         cache before computing, LRU evictions spill their warm tables
         to disk first, and completed grids are persisted — so a cold
@@ -242,15 +170,10 @@ class ReleaseSession:
         total_epsilon: Optional[float] = None,
         allow_non_private: bool = False,
         cache_dir: Optional[str | os.PathLike] = None,
-        extension_cache: Optional[ExtensionCache] = None,
         component_promotion: bool = True,
     ) -> None:
         if max_graphs < 1:
             raise ValueError(f"max_graphs must be >= 1, got {max_graphs}")
-        if cache_dir is not None and extension_cache is not None:
-            raise ValueError(
-                "pass either cache_dir or extension_cache, not both"
-            )
         self._max_graphs = max_graphs
         self._entries: OrderedDict[str, _GraphEntry] = OrderedDict()
         self.accountant = (
@@ -260,8 +183,7 @@ class ReleaseSession:
         )
         self._allow_non_private = allow_non_private
         self.cache = (
-            ExtensionCache(cache_dir) if cache_dir is not None
-            else extension_cache
+            ExtensionCache(cache_dir) if cache_dir is not None else None
         )
         # Disk keys already known to be stored (or just loaded) this
         # process: persisting a warm table is then one set lookup per
@@ -281,7 +203,35 @@ class ReleaseSession:
         # exported (skip re-export on every hot query).
         self._promoted_components: set[str] = set()
         self._promoted_graphs: set[str] = set()
-        self.stats = SessionStats()
+        self.metrics = telemetry.MetricsRegistry(parent=telemetry.default_registry())
+        self._queries = self.metrics.counter(
+            "repro_session_queries_total", "Release queries answered by sessions"
+        )
+        self._graph_lookups = self.metrics.counter(
+            "repro_session_graph_lookups_total",
+            "Session graph-cache lookups, by result", labels=("result",),
+        )
+        self._evictions = self.metrics.counter(
+            "repro_session_evictions_total", "Session LRU graph evictions"
+        )
+        self._epsilon_spent = self.metrics.counter(
+            "repro_session_epsilon_spent_total",
+            "Privacy budget spent by successful session queries",
+        )
+        self._disk_warm_starts = self.metrics.counter(
+            "repro_session_disk_warm_starts_total",
+            "Extensions preloaded from the persistent on-disk cache",
+        )
+        self._component_lookups = self.metrics.counter(
+            "repro_session_component_lookups_total",
+            "Session component-table lookups (in-memory memo or disk), by result",
+            labels=("result",),
+        )
+        self._component_promotions = self.metrics.counter(
+            "repro_session_component_promotions_total",
+            "Component value tables promoted to the content-addressed layer",
+        )
+        self.stats = SessionStats(self.metrics)
 
     # ------------------------------------------------------------------
     # Graph cache
@@ -305,9 +255,9 @@ class ReleaseSession:
         entry = self._entries.get(fingerprint)
         if entry is not None:
             self._entries.move_to_end(fingerprint)
-            self.stats.record_graph_hit()
+            self._graph_lookups.inc(result="hit")
             return fingerprint
-        self.stats.record_graph_miss()
+        self._graph_lookups.inc(result="miss")
         self._entries[fingerprint] = _GraphEntry(graph=compact)
         while len(self._entries) > self._max_graphs:
             evicted_key, evicted = self._entries.popitem(last=False)
@@ -317,7 +267,7 @@ class ReleaseSession:
             # edited descendants of the graph still warm-start.
             self._persist_entry(evicted_key, evicted)
             self._promote_components(evicted_key, evicted)
-            self.stats.record_eviction()
+            self._evictions.inc()
         return fingerprint
 
     def _entry_for(
@@ -331,7 +281,7 @@ class ReleaseSession:
                     "register(graph) it first"
                 )
             self._entries.move_to_end(fingerprint)
-            self.stats.record_graph_hit()
+            self._graph_lookups.inc(result="hit")
             return fingerprint, entry
         if graph is None:
             raise ValueError("query needs a graph or a fingerprint")
@@ -437,9 +387,9 @@ class ReleaseSession:
                     self._promoted_components.add(key)
             if table:
                 tables.update(dict.fromkeys(indices, table))
-                self.stats.record_component_hit()
+                self._component_lookups.inc(result="hit")
             else:
-                self.stats.record_component_miss()
+                self._component_lookups.inc(result="miss")
         if not tables:
             return 0
         return extension.preload_component_tables(tables)
@@ -484,7 +434,7 @@ class ReleaseSession:
             if self.cache is not None:
                 self.cache.store_component(fp, grid, table)
             self._promoted_components.add(key)
-            self.stats.record_component_promotion()
+            self._component_promotions.inc()
             promoted += 1
         self._promoted_graphs.add(graph_key)
         return promoted
@@ -502,7 +452,7 @@ class ReleaseSession:
             return False
         extension.preload_values(zip(record["grid"], record["values"]))
         self._persisted.add(self.cache.key(fingerprint, grid))
-        self.stats.record_disk_warm_start()
+        self._disk_warm_starts.inc()
         return True
 
     def _persist_entry(
@@ -635,8 +585,8 @@ class ReleaseSession:
         if spec.requires_epsilon:
             # Session-scoped accounting, shared accountant or not —
             # never reset by LRU eviction or graph re-admission.
-            self.stats.record_epsilon_spent(epsilon)
-        self.stats.record_query()
+            self._epsilon_spent.inc(epsilon)
+        self._queries.inc()
         if shared_extension:
             # The release just evaluated the whole grid: make the warm
             # table durable (one set lookup per query once stored), and

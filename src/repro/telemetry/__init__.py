@@ -24,6 +24,7 @@ from .metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    count_field,
     counter,
     counter_value,
     default_registry,
@@ -51,6 +52,7 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
+    "count_field",
     "counter",
     "counter_value",
     "default_registry",

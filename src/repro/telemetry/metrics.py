@@ -9,15 +9,23 @@ Design constraints, in order:
   lets the sharded serving path merge per-worker snapshots and still
   pin byte-stable summaries in tests.
 * **Cheap on the hot path.**  An increment is a dict lookup and an add
-  under one registry-wide lock (serving is I/O- and LP-bound; a single
-  lock is far below the noise floor and keeps cross-thread counts
-  exact for the daemon's executor threads).
+  under the registry-wide lock of each registry it reaches (serving is
+  I/O- and LP-bound; a lock is far below the noise floor and keeps
+  cross-thread counts exact for the daemon's executor threads).
 * **Get-or-create registration.**  ``registry.counter(name, ...)``
   returns the existing metric when one is already registered under
   ``name`` — module-level instrumentation can declare its metrics at
   import time without coordinating import order.  Re-registering with a
   different kind, label set, or bucket bounds raises
   :class:`MetricError` (silent divergence would corrupt merges).
+* **Child registries count per owner.**  ``MetricsRegistry(parent=...)``
+  registers each metric in the parent too and forwards every increment
+  and observation, with its already-validated label key, to the
+  parent's metric.  A session, a cache and a daemon each own a child of
+  the process registry and read their own counts from it; the process
+  registry behind ``/metrics``, the telemetry logs and the sharded
+  merge keeps the totals.  :func:`reset_metrics` zeroes the process
+  registry only; children keep their counts.
 
 Rendering follows the Prometheus text exposition format, version
 0.0.4: ``# HELP``/``# TYPE`` preamble, cumulative ``_bucket`` series
@@ -45,6 +53,7 @@ __all__ = [
     "reset_metrics",
     "merge_snapshots",
     "counter_value",
+    "count_field",
 ]
 
 _INF = math.inf
@@ -92,6 +101,7 @@ class _Metric:
     """Shared base: name/label validation and label-key encoding."""
 
     kind = "untyped"
+    _parent = None  # a child's metric: the same metric in the parent
 
     def __init__(self, name: str, help: str, label_names: tuple[str, ...],
                  lock: threading.Lock) -> None:
@@ -138,9 +148,11 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels) -> None:
         if amount < 0:
             raise MetricError(f"{self.name}: counters cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        key, metric = self._key(labels), self
+        while metric is not None:  # this metric, then its parent's chain
+            with metric._lock:
+                metric._values[key] = metric._values.get(key, 0.0) + amount
+            metric = metric._parent
 
     def value(self, **labels) -> float:
         with self._lock:
@@ -205,16 +217,18 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels) -> None:
         value = float(value)
-        key = self._key(labels)
-        slot = len(self.buckets)  # +Inf overflow unless a bound catches it
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                slot = i
-                break
-        with self._lock:
-            counts, total = self._state(key)
-            counts[slot] += 1
-            self._values[key][1] = total + value
+        key, metric = self._key(labels), self
+        while metric is not None:  # this metric, then its parent's chain
+            slot = len(metric.buckets)  # +Inf unless a bound catches it
+            for i, bound in enumerate(metric.buckets):
+                if value <= bound:
+                    slot = i
+                    break
+            with metric._lock:
+                counts, total = metric._state(key)
+                counts[slot] += 1
+                metric._values[key][1] = total + value
+            metric = metric._parent
 
     def count(self, **labels) -> int:
         with self._lock:
@@ -270,9 +284,10 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """A named family of metrics with get-or-create registration."""
 
-    def __init__(self) -> None:
+    def __init__(self, parent: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
+        self._parent = parent
 
     def _register(self, cls, name, help, labels, **kwargs):
         labels = tuple(labels)
@@ -295,6 +310,10 @@ class MetricsRegistry:
         metric = cls(name, help, labels, self._lock, **{
             k: v for k, v in kwargs.items() if v is not None
         })
+        if self._parent is not None:
+            metric._parent = self._parent._register(
+                cls, name, help, labels, **kwargs
+            )
         with self._lock:
             # Lost registration race: keep the first one registered.
             return self._metrics.setdefault(name, metric)
@@ -307,6 +326,13 @@ class MetricsRegistry:
                   labels: tuple[str, ...] = (),
                   buckets=None) -> Histogram:
         return self._register(Histogram, name, help, labels, buckets=buckets)
+
+    def value(self, name: str, **labels) -> float:
+        """Read one registered counter: the series ``labels`` name, or
+        the sum over every label set when none are given."""
+        with self._lock:
+            metric = self._metrics[name]
+        return metric.value(**labels) if labels else metric.total()
 
     def reset(self) -> None:
         """Zero every value **in place** — metric objects held by
@@ -366,6 +392,13 @@ class MetricsRegistry:
             with self._lock:
                 metric._render(lines)
         return "\n".join(lines) + "\n" if lines else ""
+
+
+def count_field(name: str, **labels) -> property:
+    """A read-only ``int`` attribute of a per-owner view: counter
+    ``name`` (see :meth:`MetricsRegistry.value`) in the view's
+    ``metrics`` registry."""
+    return property(lambda view: int(view.metrics.value(name, **labels)))
 
 
 def merge_snapshots(snapshots) -> dict:

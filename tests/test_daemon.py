@@ -878,6 +878,44 @@ class TestDaemonTelemetry:
         assert "# TYPE repro_daemon_request_seconds histogram" in lines
         assert "# TYPE repro_daemon_releases_total counter" in lines
 
+    def test_two_daemons_report_their_own_stats(self, tmp_path, graph_file):
+        """``/v1/stats`` reads each daemon's own counts; ``/metrics``
+        renders the process registry, which sums both daemons."""
+
+        def process_total(text, series):
+            return sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith((series + " ", series + "{"))
+            )
+
+        series = ("repro_daemon_releases_total", "repro_daemon_errors_total",
+                  "repro_session_queries_total")
+        first = ReleaseDaemon(tmp_path / "first", default_tenant_budget=5.0)
+        second = ReleaseDaemon(tmp_path / "second", default_tenant_budget=5.0)
+        with first.start_in_background() as one, \
+                second.start_in_background() as two:
+            bases = [f"http://127.0.0.1:{h.port}" for h in (one, two)]
+            _, _, text = self._http_text(f"{bases[0]}/metrics")
+            before = [process_total(text, name) for name in series]
+            release = {"tenant": "pair", "estimator": "cc", "epsilon": 0.5,
+                       "graph": graph_file}
+            for base, seed in ((bases[0], 1), (bases[0], 2), (bases[1], 3)):
+                status, _ = _http(
+                    "POST", f"{base}/v1/release", {**release, "seed": seed}
+                )
+                assert status == 200
+            assert _http("GET", f"{bases[1]}/nope")[0] == 404
+            stats = [_http("GET", f"{base}/v1/stats")[1] for base in bases]
+            _, _, text = self._http_text(f"{bases[0]}/metrics")
+        assert [
+            (s["releases_served"], s["requests_rejected"],
+             s["session"]["queries"])
+            for s in stats
+        ] == [(2, 0, 2), (1, 1, 1)]
+        after = [process_total(text, name) for name in series]
+        assert [b - a for a, b in zip(before, after)] == [3.0, 1.0, 3.0]
+
     def test_metrics_rejects_non_get(self, tmp_path):
         daemon = ReleaseDaemon(tmp_path / "state")
         with daemon.start_in_background() as handle:
@@ -924,6 +962,10 @@ class TestDaemonTelemetry:
             assert body["status"] == "degraded"
             assert "closed" in body["checks"]["audit_log"]
             assert body["checks"]["account_store"] == "ok"
+            # A degraded probe reports status; it rejects no request.
+            status, stats = _http("GET", f"{base}/v1/stats")
+            assert status == 200
+            assert stats["requests_rejected"] == 0
 
     def test_uptime_uses_monotonic_clock(self, tmp_path, monkeypatch):
         """Regression: uptime was ``time.time() - started_at``, so an

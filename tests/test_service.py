@@ -210,6 +210,54 @@ class TestSessionCache:
             )
 
 
+class TestSessionStatsView:
+    """``session.stats`` reads the session's own child registry; the
+    process registry behind ``/metrics`` sums every session."""
+
+    def test_each_session_counts_only_its_own_events(self, compact):
+        def process(name, **labels):
+            return telemetry.counter_value(telemetry.snapshot(), name, **labels)
+
+        lookups = "repro_session_graph_lookups_total"
+        before = (
+            process("repro_session_queries_total"),
+            process(lookups, result="hit"),
+            process(lookups, result="miss"),
+        )
+        first, second = ReleaseSession(), ReleaseSession()
+        for seed in range(3):
+            first.query("cc", epsilon=1.0, graph=compact, seed=seed)
+        second.query("edge_dp", epsilon=0.5, graph=path_graph_compact(6), seed=0)
+        assert (first.stats.queries, first.stats.graph_hits,
+                first.stats.graph_misses) == (3, 2, 1)
+        assert (second.stats.queries, second.stats.graph_hits,
+                second.stats.graph_misses) == (1, 0, 1)
+        after = (
+            process("repro_session_queries_total"),
+            process(lookups, result="hit"),
+            process(lookups, result="miss"),
+        )
+        assert [b - a for a, b in zip(before, after)] == [4.0, 2.0, 2.0]
+
+    def test_to_dict_keeps_keys_order_and_types(self, compact):
+        session = ReleaseSession()
+        session.query("cc", epsilon=0.5, graph=compact, seed=0)
+        stats = session.stats.to_dict()
+        assert list(stats) == [
+            "queries", "graph_hits", "graph_misses", "evictions",
+            "epsilon_spent", "disk_warm_starts", "component_hits",
+            "component_misses", "component_promotions",
+        ]
+        assert stats["queries"] == 1 and stats["epsilon_spent"] == 0.5
+        assert type(stats.pop("epsilon_spent")) is float
+        assert all(type(count) is int for count in stats.values())
+
+    def test_stats_are_read_only(self):
+        session = ReleaseSession()
+        with pytest.raises(AttributeError):
+            session.stats.queries = 5
+
+
 class TestSessionBudget:
     def test_budget_enforced_across_queries(self, compact):
         session = ReleaseSession(total_epsilon=1.0)

@@ -22,6 +22,7 @@ import pytest
 
 import repro.core.extension as extension_module
 import repro.service.cache as cache_module
+from repro import telemetry
 from repro.estimators import create
 from repro.graphs.generators import (
     path_graph_compact,
@@ -72,6 +73,29 @@ class TestCacheKeys:
         assert cache.load("fp", [1.0, 2.0, 4.0])["values"] == [
             0.0, 1.0, 2.0,
         ]
+
+
+class TestCacheStatsView:
+    def test_each_cache_counts_only_its_own_events(self, tmp_path):
+        def process(**labels):
+            return telemetry.counter_value(
+                telemetry.snapshot(), "repro_extension_cache_lookups_total",
+                **labels,
+            )
+
+        before = (process(result="hit"), process(result="miss"))
+        first = ExtensionCache(tmp_path / "first")
+        second = ExtensionCache(tmp_path / "second")
+        first.store("fp", GRID, [1.0, 2.0, 3.0], 3)
+        assert first.load("fp", GRID) is not None
+        assert first.load("other", GRID) is None
+        assert second.load("fp", GRID) is None
+        assert (first.stats.hits, first.stats.misses,
+                first.stats.stores) == (1, 1, 1)
+        assert (second.stats.hits, second.stats.misses,
+                second.stats.stores) == (0, 1, 0)
+        after = (process(result="hit"), process(result="miss"))
+        assert [b - a for a, b in zip(before, after)] == [1.0, 2.0]
 
 
 class TestCacheRobustness:
@@ -187,8 +211,8 @@ class TestSessionWarmRestart:
     def test_mismatched_true_fsf_invalidates(self, tmp_path, compact):
         """A record whose exact f_sf disagrees with the graph is damaged:
         dropped and served cold."""
-        cache = ExtensionCache(tmp_path)
-        session = ReleaseSession(extension_cache=cache)
+        session = ReleaseSession(cache_dir=tmp_path)
+        cache = session.cache
         grid = power_of_two_grid(compact.number_of_vertices())
         cache.store(
             compact.fingerprint(), grid,
@@ -216,12 +240,6 @@ class TestSessionWarmRestart:
             a, np.random.default_rng(2)
         )
         assert release.value == cold.value
-
-    def test_cache_dir_and_cache_object_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ReleaseSession(
-                cache_dir=tmp_path, extension_cache=ExtensionCache(tmp_path)
-            )
 
     def test_custom_delta_max_gets_its_own_entry(self, tmp_path, compact):
         session = ReleaseSession(cache_dir=tmp_path)

@@ -10,7 +10,9 @@ release pipeline:
 """
 
 import json
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +226,68 @@ class TestSnapshotMerge:
         assert c.total() == 0.0
         c.inc()  # the held object keeps working after reset
         assert c.total() == 1.0
+
+
+class TestChildRegistry:
+    """A child counts its owner's events once and forwards each one to
+    its parent, which keeps the total over every child."""
+
+    def test_child_registers_in_parent_and_forwards(self, registry):
+        first = MetricsRegistry(parent=registry)
+        second = MetricsRegistry(parent=registry)
+        a = first.counter("hits_total", "hits", labels=("kind",))
+        b = second.counter("hits_total", "hits", labels=("kind",))
+        a.inc(kind="x")
+        a.inc(2, kind="y")
+        b.inc(kind="x")
+        assert first.value("hits_total", kind="x") == 1.0
+        assert first.value("hits_total") == 3.0
+        assert second.value("hits_total") == 1.0
+        assert registry.value("hits_total", kind="x") == 2.0
+        assert registry.value("hits_total") == 4.0
+        parent = registry.snapshot()["hits_total"]
+        assert (parent["help"], parent["labels"]) == ("hits", ["kind"])
+
+    def test_parent_increments_stay_out_of_children(self, registry):
+        child = MetricsRegistry(parent=registry)
+        child.counter("c_total")
+        registry.counter("c_total").inc(5)
+        assert child.value("c_total") == 0.0
+
+    def test_histogram_observations_forward(self, registry):
+        child = MetricsRegistry(parent=registry)
+        h = child.histogram("t_seconds", buckets=(0.1, 1.0), labels=("t",))
+        h.observe(0.05, t="a")
+        h.observe(2.0, t="a")
+        assert child.snapshot() == registry.snapshot()
+
+    def test_conflicting_child_registration_raises(self, registry):
+        registry.counter("c_total", labels=("x",))
+        with pytest.raises(telemetry.MetricError, match="already registered"):
+            MetricsRegistry(parent=registry).counter("c_total")
+
+    def test_parent_reset_keeps_child_counts(self, registry):
+        child = MetricsRegistry(parent=registry)
+        child.counter("c_total").inc(3)
+        registry.reset()
+        assert registry.value("c_total") == 0.0
+        assert child.value("c_total") == 3.0
+
+
+def test_readme_catalog_lists_every_registered_series():
+    """README's metrics catalog has a row for every ``repro_*`` series
+    that ``src/`` registers."""
+    root = Path(__file__).resolve().parents[1]
+    registered = set()
+    for path in (root / "src").rglob("*.py"):
+        registered.update(re.findall(
+            r'(?:counter|histogram)\(\s*"(repro_\w+)"',
+            path.read_text(encoding="utf-8"),
+        ))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    catalog = set(re.findall(r"^\| `(repro_\w+)` \|", readme, re.MULTILINE))
+    assert "repro_session_queries_total" in registered
+    assert sorted(registered - catalog) == []
 
 
 class TestTracing:
