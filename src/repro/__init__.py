@@ -72,8 +72,9 @@ from .graphs import (
 # never silently reused across releases that sample or compute
 # differently (1.2.0: geometric/planted cells now draw from the compact
 # samplers; 1.4.0: the warm-started cutting plane and the seed-master
-# certificate of repro.lp.forest_core).
-__version__ = "1.4.0"
+# certificate of repro.lp.forest_core; 1.5.0: spanning-tree certificates
+# settle f_Δ = n − 1 before the LP, and f_1 is a double-cover matching).
+__version__ = "1.5.0"
 
 from .core import (
     extension_for,

@@ -6,9 +6,14 @@ of Δ values, as Algorithm 1 / Algorithm 4 require.
 :class:`~repro.graphs.compact.CompactGraph`: the component split, degree
 scan and exactness test are vectorized kernel work shared across every Δ
 in the candidate grid, with **zero object-graph coercion** anywhere on
-the path.  Each remaining component goes through Algorithm-3 repair at
-⌊Δ⌋ (with monotone memoization) and then the int-native LP core of
-:mod:`repro.lp.forest_core`.
+the path.  Each remaining component goes through the certificate step
+at ⌊Δ⌋ — a counting test that can rule out a spanning ⌊Δ⌋-tree,
+Algorithm-3 repair, then the spanning-tree kernel of
+:mod:`repro.kernels` — and only then the int-native LP core of
+:mod:`repro.lp.forest_core`.  A tree from either proves ``f_Δ = n − 1``
+(property 4 below), and so does an LP value of exactly ``n − 1``; the
+certificate is memoized monotonically, so every larger Δ of the grid
+costs nothing.
 
 An object :class:`~repro.graphs.graph.Graph` is converted once by
 :func:`extension_for` (via :func:`~repro.graphs.compact.as_compact`), so
@@ -30,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .. import telemetry
+from .. import kernels, telemetry
 from ..graphs.compact import CompactGraph, as_compact, component_fingerprint
 from ..graphs.graph import Graph
 from ..lp.forest_core import batched_tree_values, solve_component
@@ -41,9 +46,11 @@ __all__ = [
     "evaluate_lipschitz_extension",
 ]
 
-# Always-on pipeline counters.  Repairs are per Algorithm-3 attempt;
-# certificate hits count components whose earlier repair success (the
-# monotone ``_exact_from`` memo) answered a later Δ with no new work.
+# Always-on pipeline counters.  Repairs are per Algorithm-3 attempt (an
+# attempt the counting test rules out is not made, so not counted);
+# certificate hits count components whose earlier certificate (the
+# monotone ``_exact_from`` memo: a spanning tree, or an LP value of
+# n − 1) answered a later Δ with no new work.
 _REPAIRS = telemetry.counter(
     "repro_extension_repairs_total",
     "Algorithm-3 bounded-degree repair attempts, by outcome",
@@ -51,7 +58,7 @@ _REPAIRS = telemetry.counter(
 )
 _CERTIFICATE_HITS = telemetry.counter(
     "repro_extension_certificate_hits_total",
-    "Components answered from a memoized Algorithm-3 certificate "
+    "Components answered from a memoized exactness certificate "
     "during a Delta evaluation",
 )
 _BATCHED_TREES = telemetry.counter(
@@ -92,9 +99,11 @@ class _ComponentwiseExtension:
     a batch of tree components for the vectorized DP.
 
     Per-component bookkeeping exploits monotonicity: a spanning
-    ⌊Δ⌋-forest certifies exactness for every Δ' ≥ ⌊Δ⌋ (``_exact_from``),
-    and a failed repair at a given cap is never retried.  Values are
-    cached per Δ at both the component and the graph level.
+    ⌊Δ⌋-tree (from Algorithm-3 repair or the kernel) certifies exactness
+    for every Δ' ≥ ⌊Δ⌋, and an LP value of exactly ``n − 1`` at Δ for
+    every Δ' ≥ Δ (``_exact_from``); a failed certificate step at a given
+    cap is never retried.  Values are cached per Δ at both the component
+    and the graph level.
 
     With ``batched_certificates`` (the default), tree components — the
     overwhelming majority in sparse workloads — are valued at integral Δ
@@ -169,7 +178,25 @@ class _ComponentwiseExtension:
         return cached
 
     def _attempt_repair(self, i: int, floor_delta: int) -> bool:
-        """Algorithm 3 at cap ``floor_delta`` on the canonical component."""
+        """The certificate step at cap ``floor_delta``: ``True`` when it
+        finds a spanning ``floor_delta``-tree of component ``i``, which
+        proves ``f_Δ = n − 1`` for every ``Δ ≥ floor_delta`` (Lemma
+        3.3(4)).
+
+        1. A component that :func:`repro.kernels.excludes_capped_spanning_tree`
+           excludes by counting is skipped; no repair attempt is made or
+           counted in ``repro_extension_repairs_total``.
+        2. Algorithm 3 runs unchanged, so Lemma 1.8's guarantee (success
+           whenever ``s(G) < floor_delta``) and every repair success
+           stay as they are.
+        3. If repair fails, :func:`repro.kernels.capped_spanning_tree`
+           (greedy start, Fürer–Raghavachari steps under a fixed
+           budget) gets its turn, in an ``extension.spanning_tree``
+           span.
+        """
+        n, u, v = self._component_arrays(i)
+        if kernels.excludes_capped_spanning_tree(n, u, v, floor_delta):
+            return False
         with telemetry.span("extension.repair", component=i, cap=floor_delta):
             repaired = (
                 self._component_graph(i)
@@ -177,7 +204,11 @@ class _ComponentwiseExtension:
                 .forest
                 is not None
             )
-        _REPAIRS.inc(outcome="success" if repaired else "failure")
+            _REPAIRS.inc(outcome="success" if repaired else "failure")
+            if not repaired:
+                with telemetry.span("extension.spanning_tree", cap=floor_delta):
+                    tree = kernels.capped_spanning_tree(n, u, v, floor_delta)
+                repaired = tree is not None
         return repaired
 
     # -- public API ---------------------------------------------------------
@@ -298,10 +329,11 @@ class _ComponentwiseExtension:
     def values_for_grid(self, candidates: Sequence[float]) -> np.ndarray:
         """Evaluate ``f_Δ`` for a whole candidate grid in one pass.
 
-        Candidates are processed ascending so that every Algorithm-3
-        success at a small cap certifies all larger candidates for its
-        component (the forest work is shared, never recomputed per Δ);
-        the returned array follows the input order.
+        Candidates are processed ascending so that every certificate at
+        a small Δ (a spanning tree, or an LP value of ``n − 1``)
+        certifies all larger candidates for its component (the forest
+        work is shared, never recomputed per Δ); the returned array
+        follows the input order.
         """
         with telemetry.span(
             "extension.values_for_grid", candidates=len(candidates)
@@ -407,8 +439,9 @@ class _ComponentwiseExtension:
         hash, and a component answered wholly from a preloaded table is
         already stored.  For each evaluated Δ the stored value is
         exactly what a cold evaluation produces for that component —
-        ``size - 1`` when exactness is certified (degree bound or
-        Algorithm-3 forest), otherwise the memoized LP optimum.
+        ``size - 1`` when exactness is certified (degree bound, spanning
+        tree or an LP value of ``size - 1`` at a smaller Δ), otherwise
+        the memoized LP optimum.
         Components whose value at some Δ is unknown simply omit that Δ.
         Returns ``[]`` before any evaluation.
         """
@@ -443,7 +476,8 @@ class _ComponentwiseExtension:
         later :meth:`value` calls from its table instead of paying
         Algorithm-3 or the LP again.  Returns the number of components
         warmed.  Values land in the per-component memo, so totals remain
-        bit-identical to a cold rebuild (see :meth:`value`).
+        bit-identical to a cold rebuild (see :meth:`value`), and a
+        stored ``size - 1`` certifies every larger Δ, as it does cold.
         """
         self._ensure_prepared()
         hits = 0
@@ -456,6 +490,7 @@ class _ComponentwiseExtension:
                 if key <= 0:
                     raise ValueError(f"delta must be positive, got {delta}")
                 dest[key] = float(value)
+                self._certify_at(i, key, dest[key])
             hits += 1
         return hits
 
@@ -485,7 +520,14 @@ class _ComponentwiseExtension:
             use_fast_paths=self._use_fast_paths,
         )
         self._lp_cache.setdefault(i, {})[delta] = core.value
+        self._certify_at(i, delta, core.value)
         return core.value
+
+    def _certify_at(self, i: int, delta: float, value: float) -> None:
+        """A value of exactly ``n − 1`` at Δ settles every larger Δ (the
+        values are monotone in Δ and never exceed ``n − 1``)."""
+        if value == self._sizes[i] - 1:
+            self._exact_from[i] = min(self._exact_from[i], delta)
 
 
 class CompactSpanningForestExtension(_ComponentwiseExtension):
@@ -496,15 +538,16 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     vertex and edge slices (grouped by a stable argsort over component
     roots), and the local reindexing used by both Algorithm 3 and the
     LP core.  Every Δ in the grid then reuses that work: exactness for
-    ``Δ ≥ maxdeg`` is a vectorized mask, Algorithm-3 certificates are
+    ``Δ ≥ maxdeg`` is a vectorized mask, spanning-tree certificates are
     shared monotonically across candidates, and only the (typically few)
     stubborn components reach the LP core.  No object :class:`Graph` is
     ever materialized.
 
     The keyword options ``use_fast_paths`` and ``batched_certificates``
-    switch off the integral shortcuts (tree DP and Algorithm-3 repair;
-    the batched tree pass), leaving the LP-only and per-component paths
-    that tests and ablation benchmarks compare against.  The LP's own
+    switch off the integral shortcuts (tree DP, Δ = 1 matching and the
+    certificate step; the batched tree pass), leaving the LP-only and
+    per-component paths that tests and ablation benchmarks compare
+    against.  The LP's own
     controls are constants of :mod:`repro.lp.forest_core`.
 
     Examples

@@ -26,6 +26,10 @@ Evaluators:
   hence totally unimodular — the LP optimum is integral and equals the
   maximum degree-≤Δ subforest, solved exactly by a leaf-to-root DP in
   ``O(n log n)`` with no LP solve at all;
+* a **Δ = 1 fast path**: the degree rows imply every forest row, so
+  ``f_1`` is the fractional matching number, half a maximum matching of
+  the bipartite double cover (:func:`matching_component_value`, one
+  :func:`scipy.sparse.csgraph.maximum_bipartite_matching` call);
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
@@ -49,9 +53,14 @@ class drives ``scipy.optimize._highspy._core._Highs``, a private scipy
 binding (tested with scipy 1.17.1): if it moves, importing this module
 fails.
 
-The combined ``auto`` logic — fast tree DP, exhaustive up to
-:data:`EXACT_THRESHOLD` vertices, certified sandwich above it with
-half-integral snapping — lives in :func:`solve_component`.  Snapping
+The combined ``auto`` logic — fast tree DP, the Δ = 1 matching,
+exhaustive up to :data:`EXACT_THRESHOLD` vertices, certified sandwich
+above it with half-integral snapping — lives in :func:`solve_component`.
+Its caller settles ``f_Δ = n − 1`` before the LP where it can: a
+spanning ⌊Δ⌋-tree from Algorithm-3 repair or
+:func:`repro.kernels.capped_spanning_tree` proves it in integers (Lemma
+3.3(4)), so most components whose value is ``n − 1`` never reach this
+module.  Snapping
 assumes the optimum is half-integral (true of every instance the test
 suite solves exactly).  Its controls (:data:`EXACT_THRESHOLD`, 12
 cutting-plane rounds, separation tolerance ``1e-7``, 120
@@ -88,7 +97,11 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    maximum_bipartite_matching,
+    maximum_flow,
+)
 
 from .. import kernels, telemetry
 
@@ -103,6 +116,7 @@ __all__ = [
     "solve_component",
     "tree_component_value",
     "batched_tree_values",
+    "matching_component_value",
     "exhaustive_component_value",
     "cutting_plane_component",
     "column_generation_component",
@@ -311,11 +325,12 @@ def solve_component(
     """Evaluate ``f_Δ`` on one canonical connected component (``auto``).
 
     Strategy: tree DP when the component is a tree and Δ is integral;
-    exhaustive exact up to :data:`EXACT_THRESHOLD` vertices; otherwise a
-    certified sandwich (cutting-plane outer bound, column-generation
-    inner bound, half-integral snap).  ``use_fast_paths=False`` disables
-    the tree DP shortcut so differential tests can compare it against a
-    genuinely independent LP evaluation.
+    the double-cover matching at Δ = 1; exhaustive exact up to
+    :data:`EXACT_THRESHOLD` vertices; otherwise a certified sandwich
+    (cutting-plane outer bound, column-generation inner bound,
+    half-integral snap).  ``use_fast_paths=False`` disables the tree DP
+    and matching shortcuts so differential tests can compare them
+    against a genuinely independent LP evaluation.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -385,6 +400,8 @@ def _solve_component_uncached(
         and kernels.is_forest(n, u, v)
     ):
         return tree_component_value(n, u, v, int(delta))
+    if use_fast_paths and delta == 1.0:
+        return matching_component_value(n, u, v)
     if n <= EXACT_THRESHOLD:
         return exhaustive_component_value(n, u, v, delta)
 
@@ -595,6 +612,43 @@ def batched_tree_values(
     roots = np.nonzero(parent < 0)[0]
     values = (base[roots] + np.minimum(cap, cnt1[roots])).astype(np.float64)
     return roots, values
+
+
+# ----------------------------------------------------------------------
+# Δ = 1 fast path: the fractional matching number, no LP solve
+# ----------------------------------------------------------------------
+def matching_component_value(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> CoreLPResult:
+    """Exact ``f_1``: half a maximum matching of the bipartite double
+    cover.
+
+    At Δ = 1 the degree rows imply every forest row (``x(E[S]) ≤ |S|/2
+    ≤ |S| − 1`` for ``|S| ≥ 2``) and the box ``x ≤ 1``, so ``f_1`` is
+    the fractional matching number.  That is half the maximum matching
+    of the double cover, which has a row and a column per vertex and
+    both ``(a, b)`` and ``(b, a)`` for each edge (Schrijver,
+    *Combinatorial Optimization*, 2003, ch. 30).  One Hopcroft–Karp
+    call; the certificate ``x`` puts 1/2 on an edge per matched copy of
+    it, so every vertex load is at most 1 and ``x`` sums to the value.
+    """
+    u, v = _as_edge_arrays(u, v)
+    m = u.size
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    cover = sparse.csr_array(
+        (np.ones(2 * m), (rows, cols)), shape=(n, n)
+    )
+    partner = maximum_bipartite_matching(cover, perm_type="column")
+    matched = np.nonzero(partner >= 0)[0]
+    # Edge index of each matched (row, column) pair, by its sorted key.
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(keys, kind="stable")
+    ends = partner[matched]
+    pair_keys = np.minimum(matched, ends) * n + np.maximum(matched, ends)
+    edges = order[np.searchsorted(keys[order], pair_keys)]
+    x = np.bincount(edges, minlength=m) * 0.5
+    return CoreLPResult(matched.size / 2.0, x, 0, 0, 0.0, "exact")
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,19 @@ def canonical_components(graph):
 
 
 @st.composite
+def connected_components(draw, min_vertices: int = 4, max_vertices: int = 12):
+    """A canonical connected component: a random spanning tree (vertex
+    ``i`` hangs off an earlier vertex) plus random extra edges."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    tree = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    edges = sorted(tree | set(extra))
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return n, u, v
+
+
+@st.composite
 def small_graphs(draw, min_vertices: int = 1, max_vertices: int = 7) -> Graph:
     """A random labelled graph on at most ``max_vertices`` vertices."""
     n = draw(st.integers(min_vertices, max_vertices))

@@ -17,7 +17,7 @@ from repro.graphs.generators import (
 from repro import telemetry
 from repro.lp import forest_core
 
-from .strategies import graph_arrays
+from .strategies import connected_components, graph_arrays
 
 # G(15, 0.26) drawn with seed 57.  At Δ = 2 the first cutting-plane LP
 # is 14 = n − 1, the seed master falls short of it, and round 2
@@ -404,16 +404,37 @@ class TestSeedMasterCertificate:
             assert result.x.sum() == pytest.approx(result.value, abs=1e-9)
 
 
-@st.composite
-def connected_components(draw, min_vertices: int = 4, max_vertices: int = 12):
-    """A canonical connected component: a random spanning tree (vertex
-    ``i`` hangs off an earlier vertex) plus random extra edges."""
-    n = draw(st.integers(min_vertices, max_vertices))
-    tree = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
-    u, v = np.array(sorted(tree | set(extra)), dtype=np.int64).T
-    return n, u, v
+class TestMatchingFastPath:
+    """``f_1`` is half a maximum matching of the bipartite double cover,
+    with no LP solve."""
+
+    @given(connected_components(min_vertices=2, max_vertices=13))
+    @settings(max_examples=60)
+    def test_equals_the_exhaustive_lp(self, component):
+        count, u, v = component
+        result = forest_core.solve_component(count, u, v, 1)
+        exact = forest_core.exhaustive_component_value(count, u, v, 1)
+        assert result.status == "exact"
+        assert abs(result.value - exact.value) <= 1e-9
+        self._assert_fractional_matching(count, u, v, result)
+
+    def test_equals_the_lp_on_giant_components(self):
+        for count, u, v in _giant_component_corpus(seed=5, count=20):
+            result = forest_core.solve_component(count, u, v, 1)
+            lp = forest_core.solve_component(count, u, v, 1, use_fast_paths=False)
+            assert result.value == lp.value
+            assert result.lp_rounds == 0 and lp.lp_rounds > 0
+            self._assert_fractional_matching(count, u, v, result)
+
+    @staticmethod
+    def _assert_fractional_matching(count, u, v, result):
+        """``x`` has every vertex load at most 1, sums to the value and
+        violates no forest constraint."""
+        assert set(np.unique(result.x).tolist()) <= {0.0, 0.5, 1.0}
+        load = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
+        assert load.max() <= 1.0
+        assert result.x.sum() == result.value
+        assert forest_core.violated_forest_sets(count, u, v, result.x) == []
 
 
 def _linprog_master(columns, u, v, n, delta):

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from repro import telemetry
+from repro import kernels, telemetry
 from repro.core import extension as extension_module
-from repro.core.extension import evaluate_lipschitz_extension
+from repro.core.extension import evaluate_lipschitz_extension, extension_for
+from repro.graphs.compact import CompactGraph
 from repro.graphs.components import spanning_forest_size
 from repro.graphs.generators import (
+    barabasi_albert_compact,
     complete_bipartite_graph,
     complete_graph,
     disjoint_union,
@@ -112,6 +114,73 @@ class TestFastPaths:
 
     def test_fractional_delta(self):
         assert evaluate_lipschitz_extension(star_graph(4), 2.5) == pytest.approx(2.5)
+
+
+# A connected G(45, 67) with maximum degree 10 (the seventh graph of
+# ``_giant_component_corpus(seed=4)`` in test_forest_core.py).
+# Algorithm-3 repair fails at cap 4, and the LP gives f_4 = 44 = n − 1
+# exactly.
+LP_TREE_BOUND_COMPONENT = (
+    45,
+    np.array([0, 0, 0, 1, 2, 3, 3, 4, 4, 4, 5, 6, 6, 7, 7, 8, 8, 9, 9, 9,
+              10, 10, 10, 10, 11, 12, 12, 13, 13, 14, 14, 15, 16, 16, 16,
+              16, 17, 18, 18, 19, 19, 19, 20, 20, 21, 22, 22, 23, 24, 24,
+              26, 26, 27, 27, 29, 29, 30, 31, 31, 32, 33, 34, 34, 34, 35,
+              36, 43]),
+    np.array([32, 36, 37, 5, 3, 19, 34, 9, 15, 38, 34, 34, 40, 34, 41, 10,
+              21, 20, 34, 37, 17, 22, 37, 40, 26, 30, 44, 23, 44, 37, 43,
+              38, 27, 30, 35, 42, 40, 21, 37, 22, 35, 44, 34, 39, 32, 25,
+              37, 37, 28, 43, 29, 36, 28, 31, 38, 42, 35, 33, 37, 43, 34,
+              36, 37, 43, 37, 42, 44]),
+)
+
+
+class TestCertificateStep:
+    """Algorithm-3 repair, then the spanning-tree kernel, after the
+    counting test; and an LP value of exactly n − 1 certifies every
+    larger Δ."""
+
+    def test_kernel_certifies_where_repair_fails(self, monkeypatch):
+        """BA(1000, 2), seed 0: repair fails at cap 4 and the kernel's
+        tree settles f_4 = n − 1 without the LP (the LP's value was
+        ``approx`` 989.47)."""
+        _forbid_lp(monkeypatch)
+        graph = barabasi_albert_compact(1000, 2, np.random.default_rng(0))
+        failures = _repairs("failure")
+        assert extension_for(graph).value(4) == 999.0
+        assert _repairs("failure") == failures + 1
+
+    def test_lp_value_n_minus_1_settles_every_larger_delta(self, monkeypatch):
+        graph = CompactGraph.from_edge_arrays(*LP_TREE_BOUND_COMPONENT)
+        assert graph.max_degree() == 10
+        monkeypatch.setattr(
+            kernels, "capped_spanning_tree", lambda *args: None
+        )
+        deltas = []
+
+        def spy(n, u, v, delta, **options):
+            deltas.append(delta)
+            return solve_component(n, u, v, delta, **options)
+
+        monkeypatch.setattr(extension_module, "solve_component", spy)
+        values = extension_for(graph).values_for_grid([1, 2, 4, 5, 8])
+        assert values[2:].tolist() == [44.0, 44.0, 44.0]
+        assert deltas == [1.0, 2.0, 4.0]
+
+    def test_counting_test_skips_repair(self, monkeypatch):
+        """A triangle with three pendants on each corner: 9 leaves in 12
+        vertices exclude a spanning 2-tree, so no repair is attempted."""
+        u = np.array([0, 0, 1] + [c for c in (0, 1, 2) for _ in range(3)])
+        v = np.array([1, 2, 2] + list(range(3, 12)))
+        kernel = []
+        monkeypatch.setattr(
+            kernels, "capped_spanning_tree", lambda *args: kernel.append(args)
+        )
+        attempts = _repairs("success") + _repairs("failure")
+        graph = CompactGraph.from_edge_arrays(12, u, v)
+        assert extension_for(graph).value(2) < 11
+        assert _repairs("success") + _repairs("failure") == attempts
+        assert kernel == []
 
 
 class TestCertification:
