@@ -4,21 +4,28 @@ Evaluates the extension over the power-of-two grid (Algorithm 1's
 candidates for Δmax = n) on ER(n, 3/n) for n ∈ {500, 1000, 2000} and on
 BA(n, 2) for n ∈ {500, 1000}, seed 0.  Each giant component has a
 spanning 4-tree, so from Δ = 4 on every grid value must be ``f_sf``,
-settled by the certificate step (counting test, Algorithm-3 repair,
-spanning-tree kernel) instead of the LP.  The benchmark fails if any
-component LP result counted in ``repro_lp_certificates_total`` during
-an evaluation is not ``exact``; it prints each evaluation's time and
-has no time gate.
+settled by the certificate step (counting test, spanning-tree kernel,
+Algorithm-3 repair where the kernel declines) instead of the LP.  The
+benchmark fails if any component LP result counted in
+``repro_lp_certificates_total`` during an evaluation is not ``exact``,
+or if the separation oracle's float fallback
+(:meth:`repro.flow.maxflow.FlowNetwork.max_flow`, pure Python and
+orders of magnitude slower than the batched integer cut) runs.  It
+prints each evaluation's time, its separation calls and how many of
+them peeled an all-ones support component instead of running a flow,
+and has no time gate.
 """
 
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.extension import extension_for
+from repro.flow.maxflow import FlowNetwork
 from repro.graphs.generators import barabasi_albert_compact, erdos_renyi_compact
 from repro.lp import forest_core
 from repro.mechanisms.gem import power_of_two_grid
@@ -51,17 +58,58 @@ def _certificates() -> dict[str, float]:
     }
 
 
+class _SeparationCounts:
+    """While entered: separation oracle calls, the calls that peeled at
+    least one support component, and float fallback cuts."""
+
+    def __enter__(self):
+        self.calls = self.peeled = self.float_cuts = 0
+        separate = forest_core.violated_forest_sets
+        peel = forest_core._peeled_sets
+        max_flow = FlowNetwork.max_flow
+        peels = [0]
+
+        def counted_separation(*args, **kwargs):
+            before = peels[0]
+            result = separate(*args, **kwargs)
+            self.calls += 1
+            self.peeled += peels[0] > before
+            return result
+
+        def counted_peel(*args):
+            peels[0] += 1
+            return peel(*args)
+
+        def counted_max_flow(network, *args):
+            self.float_cuts += 1
+            return max_flow(network, *args)
+
+        self._patches = [
+            mock.patch.object(forest_core, "violated_forest_sets", counted_separation),
+            mock.patch.object(forest_core, "_peeled_sets", counted_peel),
+            mock.patch.object(FlowNetwork, "max_flow", counted_max_flow),
+        ]
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in reversed(self._patches):
+            patch.stop()
+
+
 def test_giant_component_grids_are_certified():
     reset_results("E18")
-    rows, uncertified = [], []
+    rows, uncertified, float_cuts = [], [], []
     for family, n in _CORPUS:
         graph = _graph(family, n)
         grid = power_of_two_grid(n)
         forest_core.clear_solve_cache()
         before = _certificates()
-        started = time.perf_counter()
-        values = extension_for(graph).values_for_grid(grid)
-        seconds = time.perf_counter() - started
+        with _SeparationCounts() as separation:
+            started = time.perf_counter()
+            values = extension_for(graph).values_for_grid(grid)
+            seconds = time.perf_counter() - started
         counts = {
             status: int(count - before[status])
             for status, count in _certificates().items()
@@ -69,15 +117,20 @@ def test_giant_component_grids_are_certified():
         fsf = graph.spanning_forest_size()
         rows.append(
             [family, n, f"{seconds:.3f}", counts["exact"],
-             sum(counts.values()) - counts["exact"], values[2], fsf]
+             sum(counts.values()) - counts["exact"], separation.calls,
+             separation.peeled, separation.float_cuts, values[2], fsf]
         )
         if sum(counts.values()) != counts["exact"]:
             uncertified.append((family, n, counts))
+        if separation.float_cuts:
+            float_cuts.append((family, n, separation.float_cuts))
         assert values[2:].tolist() == [float(fsf)] * (len(grid) - 2), (family, n)
     emit_table(
         "E18",
-        ["graph", "n", "grid s", "exact LPs", "other LPs", "f_4", "f_sf"],
+        ["graph", "n", "grid s", "exact LPs", "other LPs", "separations",
+         "peeled", "float cuts", "f_4", "f_sf"],
         rows,
         "power-of-two grid evaluations, seed 0",
     )
     assert uncertified == [], uncertified
+    assert float_cuts == [], float_cuts

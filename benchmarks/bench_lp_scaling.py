@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import kernels, telemetry
 from repro.core.extension import evaluate_lipschitz_extension, extension_for
 from repro.graphs.compact import CompactGraph, as_compact
 from repro.graphs.generators import erdos_renyi, grid_graph, random_geometric_graph
@@ -47,9 +47,13 @@ def _components(graph):
         )
 
 
-def _repair_successes() -> float:
-    return telemetry.counter_value(
-        telemetry.snapshot(), "repro_extension_repairs_total", outcome="success"
+def _repair_attempts() -> float:
+    snap = telemetry.snapshot()
+    return sum(
+        telemetry.counter_value(
+            snap, "repro_extension_repairs_total", outcome=outcome
+        )
+        for outcome in ("success", "failure")
     )
 
 
@@ -77,14 +81,26 @@ def test_method_comparison(benchmark, method):
     assert value == pytest.approx(reference, abs=1e-4)
 
 
-def test_fast_path_ablation(benchmark):
-    """Fast paths vs forced LP on a grid where repair certifies Δ = 3."""
+def test_fast_path_ablation(benchmark, monkeypatch):
+    """Fast paths vs forced LP on a grid where the spanning-tree kernel
+    certifies Δ = 3."""
     graph = grid_graph(8, 8)
     value = benchmark(lambda: extension_for(graph).value(3))
-    before = _repair_successes()
+    trees = []
+    kernel = kernels.capped_spanning_tree
+
+    def spy(*args):
+        trees.append(kernel(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(kernels, "capped_spanning_tree", spy)
+    before = _repair_attempts()
     assert extension_for(graph).value(3) == value
-    # The single component is certified by one Algorithm-3 repair.
-    assert _repair_successes() == before + 1
+    # The single component is certified by the kernel's spanning
+    # 3-tree, so Algorithm 3, which would also certify it, never runs.
+    assert len(trees) == 1 and trees[0] is not None
+    assert _repair_attempts() == before
+    assert as_compact(graph).repair_spanning_forest(3).forest is not None
     slow = extension_for(graph, use_fast_paths=False).value(3)
     assert slow == pytest.approx(value, abs=1e-4)
 

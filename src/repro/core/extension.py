@@ -7,9 +7,9 @@ of Δ values, as Algorithm 1 / Algorithm 4 require.
 scan and exactness test are vectorized kernel work shared across every Δ
 in the candidate grid, with **zero object-graph coercion** anywhere on
 the path.  Each remaining component goes through the certificate step
-at ⌊Δ⌋ — a counting test that can rule out a spanning ⌊Δ⌋-tree,
-Algorithm-3 repair, then the spanning-tree kernel of
-:mod:`repro.kernels` — and only then the int-native LP core of
+at ⌊Δ⌋ — a counting test that can rule out a spanning ⌊Δ⌋-tree, the
+spanning-tree kernel of :mod:`repro.kernels`, then Algorithm-3 repair
+where the kernel declines — and only then the int-native LP core of
 :mod:`repro.lp.forest_core`.  A tree from either proves ``f_Δ = n − 1``
 (property 4 below), and so does an LP value of exactly ``n − 1``; the
 certificate is memoized monotonically, so every larger Δ of the grid
@@ -46,8 +46,9 @@ __all__ = [
     "evaluate_lipschitz_extension",
 ]
 
-# Always-on pipeline counters.  Repairs are per Algorithm-3 attempt (an
-# attempt the counting test rules out is not made, so not counted);
+# Always-on pipeline counters.  Repairs are per Algorithm-3 attempt,
+# made only where the spanning-tree kernel declines (and never where
+# the counting test rules a tree out);
 # certificate hits count components whose earlier certificate (the
 # monotone ``_exact_from`` memo: a spanning tree, or an LP value of
 # n − 1) answered a later Δ with no new work.
@@ -111,9 +112,9 @@ class _ComponentwiseExtension:
     (:func:`repro.lp.forest_core.batched_tree_values`) instead of the
     per-component repair/LP loop.  This is value-identical by
     construction: on a tree whose max degree exceeds ⌊Δ⌋ the
-    Algorithm-3 repair *always* fails (a tree is its own unique spanning
-    forest, and no two neighbors of a tree vertex are adjacent, so no
-    swap exists), after which the legacy path runs the exact same
+    certificate step *always* fails (a tree is its own unique spanning
+    tree, so neither the kernel nor Algorithm-3 repair finds one within
+    the cap), after which the legacy path runs the exact same
     integral DP one component at a time.  Per-component bookkeeping is
     lazy (dicts keyed by component index) so a million-component graph
     pays nothing for the components the batched pass already settled.
@@ -184,19 +185,24 @@ class _ComponentwiseExtension:
         3.3(4)).
 
         1. A component that :func:`repro.kernels.excludes_capped_spanning_tree`
-           excludes by counting is skipped; no repair attempt is made or
-           counted in ``repro_extension_repairs_total``.
-        2. Algorithm 3 runs unchanged, so Lemma 1.8's guarantee (success
-           whenever ``s(G) < floor_delta``) and every repair success
-           stay as they are.
-        3. If repair fails, :func:`repro.kernels.capped_spanning_tree`
-           (greedy start, Fürer–Raghavachari steps under a fixed
-           budget) gets its turn, in an ``extension.spanning_tree``
-           span.
+           excludes by counting is skipped; neither step below runs.
+        2. :func:`repro.kernels.capped_spanning_tree` (greedy start,
+           Fürer–Raghavachari steps under a fixed budget) runs in an
+           ``extension.spanning_tree`` span.
+        3. Only if the kernel declines does Algorithm 3 run, unchanged,
+           in an ``extension.repair`` span; each such attempt is counted
+           in ``repro_extension_repairs_total``.  It runs whenever no
+           tree was found, so Lemma 1.8's guarantee (success whenever
+           ``s(G) < floor_delta``) still holds, and the verdict is the
+           OR of the two steps in either order.
         """
         n, u, v = self._component_arrays(i)
         if kernels.excludes_capped_spanning_tree(n, u, v, floor_delta):
             return False
+        with telemetry.span("extension.spanning_tree", cap=floor_delta):
+            tree = kernels.capped_spanning_tree(n, u, v, floor_delta)
+        if tree is not None:
+            return True
         with telemetry.span("extension.repair", component=i, cap=floor_delta):
             repaired = (
                 self._component_graph(i)
@@ -204,11 +210,7 @@ class _ComponentwiseExtension:
                 .forest
                 is not None
             )
-            _REPAIRS.inc(outcome="success" if repaired else "failure")
-            if not repaired:
-                with telemetry.span("extension.spanning_tree", cap=floor_delta):
-                    tree = kernels.capped_spanning_tree(n, u, v, floor_delta)
-                repaired = tree is not None
+        _REPAIRS.inc(outcome="success" if repaired else "failure")
         return repaired
 
     # -- public API ---------------------------------------------------------

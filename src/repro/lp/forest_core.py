@@ -33,8 +33,10 @@ Evaluators:
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
-  separation oracle (:func:`violated_forest_sets`): every pinned min cut
-  of a round runs as one copy of an integer network inside a single
+  separation oracle (:func:`violated_forest_sets`): on a support
+  component whose weights are all 1 each pinned min cut is read off by
+  peeling to the 2-core, with no network; every other pinned min cut of
+  a round runs as one copy of an integer network inside a single
   :func:`scipy.sparse.csgraph.maximum_flow` call, each cut re-checked in
   float, with the float :class:`~repro.flow.maxflow.FlowNetwork` as the
   exact fallback for a pin the integer cut cannot certify;
@@ -44,9 +46,15 @@ Evaluators:
 
 HiGHS runs three ways.  The cutting plane is warm-started: one
 :class:`_HighsModel` per call, each round appending only its newly
-violated forest rows and re-solving from the previous basis.  The
-column-generation master is solved cold, one :class:`_HighsModel` per
-solve, built from exactly the matrix, bounds and options
+violated forest rows and re-solving from the previous basis.  Its
+model and rows are built as plain arrays (:func:`_plane_columns`,
+:func:`_forest_rows`), and the oracle's flow networks as CSR arrays in
+row order (:func:`_flow_network`), with no COO conversion or sparse
+arithmetic on the per-round path; each array equals, element for
+element, the one the scipy.sparse construction gave, so the solvers'
+floats do not move.
+The column-generation master is solved cold, one :class:`_HighsModel`
+per solve, built from exactly the matrix, bounds and options
 ``linprog(method="highs")`` would pass, so its floats are ``linprog``'s.
 The exhaustive LP calls :func:`scipy.optimize.linprog`.  The model
 class drives ``scipy.optimize._highspy._core._Highs``, a private scipy
@@ -57,8 +65,8 @@ The combined ``auto`` logic — fast tree DP, the Δ = 1 matching,
 exhaustive up to :data:`EXACT_THRESHOLD` vertices, certified sandwich
 above it with half-integral snapping — lives in :func:`solve_component`.
 Its caller settles ``f_Δ = n − 1`` before the LP where it can: a
-spanning ⌊Δ⌋-tree from Algorithm-3 repair or
-:func:`repro.kernels.capped_spanning_tree` proves it in integers (Lemma
+spanning ⌊Δ⌋-tree from :func:`repro.kernels.capped_spanning_tree` or,
+where that declines, Algorithm-3 repair proves it in integers (Lemma
 3.3(4)), so most components whose value is ``n − 1`` never reach this
 module.  Snapping
 assumes the optimum is half-integral (true of every instance the test
@@ -91,6 +99,7 @@ older code are never served from them.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -199,6 +208,16 @@ class _HighsSolution(NamedTuple):
     row_dual: np.ndarray
 
 
+class _Columns(NamedTuple):
+    """A column-wise matrix as HiGHS takes it: column ``j`` has the
+    entries ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 class _HighsModel:
     """One LP ``min cost·x`` s.t. ``row_lower ≤ A x ≤ row_upper``,
     ``lower ≤ x ≤ upper``, kept in one HiGHS object across solves.
@@ -207,16 +226,18 @@ class _HighsModel:
     ``linprog(method="highs")`` builds per call, set up with
     ``linprog``'s options and the column-wise matrix it passes, so a
     single :meth:`solve` of a fresh model gives ``linprog``'s floats
-    without its per-call input checks.  :meth:`add_rows` keeps the last
+    without its per-call input checks.  ``matrix`` is that column-wise
+    ``A``, given by its ``indptr``, ``indices`` and ``data`` arrays (a
+    :class:`_Columns` triple or a scipy CSC array); its shape is
+    ``(len(row_lower), len(cost))``.  :meth:`add_rows` keeps the last
     basis valid, so the next :meth:`solve` restarts the dual simplex
     from it (HiGHS skips presolve when it holds a basis).
     """
 
     def __init__(self, cost, lower, upper, matrix, row_lower, row_upper):
-        matrix = sparse.csc_array(matrix)
         lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = matrix.shape[1]
-        lp.num_row_ = lp.a_matrix_.num_row_ = matrix.shape[0]
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
@@ -231,18 +252,23 @@ class _HighsModel:
             self._highs.setOptionValue(option, value)
         self._check(self._highs.passModel(lp), "passModel")
 
-    def add_rows(self, matrix: sparse.csr_matrix, upper: np.ndarray) -> None:
-        """Append the rows ``matrix @ x ≤ upper``."""
-        count = matrix.shape[0]
+    def add_rows(
+        self, indptr: np.ndarray, indices: np.ndarray, upper: np.ndarray
+    ) -> None:
+        """Append the rows ``Σ_{j ∈ row i} x_j ≤ upper[i]``: row ``i``
+        holds the columns ``indices[indptr[i]:indptr[i + 1]]``, each with
+        coefficient 1 (int32 CSR arrays, ``indptr`` with its final
+        entry)."""
+        count = upper.size
         self._check(
             self._highs.addRows(
                 count,
                 np.full(count, -np.inf),
                 upper,
-                matrix.nnz,
-                matrix.indptr.astype(np.int32),
-                matrix.indices.astype(np.int32),
-                matrix.data,
+                indices.size,
+                indptr,
+                indices,
+                np.ones(indices.size),
             ),
             "addRows",
         )
@@ -752,9 +778,15 @@ def violated_forest_sets(
     each support component (edges with ``x > tolerance``), except in a
     component that is a tree with ``x ≤ 1``, where no set is violated.
 
-    The pinned cuts run as copies of that network, scaled to integers,
-    inside one :func:`scipy.sparse.csgraph.maximum_flow` call (a few for
-    large components; at most :data:`_MAX_FLOW_ARCS` arcs each).  The
+    A support component whose weights are all exactly ``1.0`` needs no
+    network (:func:`_peeled_sets`): the minimal source side of each
+    pinned cut is its 2-core plus the peel path from ``p`` to the core,
+    and the violation is the component's cyclomatic number.
+
+    The other pinned cuts run as copies of that network, scaled to
+    integers, inside one :func:`scipy.sparse.csgraph.maximum_flow` call
+    (a few for large components; at most :data:`_MAX_FLOW_ARCS` arcs
+    each), computed lazily, one call at a time, as the list fills.  The
     integer network has ``c(e) = ⌊x(e)·K⌋`` and vertex → sink ``K``
     (:func:`_capacity_scale`).  Rounding down means a set never beats a
     subset that ties with it in the reals, so the residual source side
@@ -783,13 +815,14 @@ def violated_forest_sets(
     if not support.any():
         return []
     su, sv, sx = u[support], v[support], x[support]
-    labels = CompactGraph.from_edge_arrays(n, su, sv).component_labels()
-    edge_root = labels[su]
+    edge_root = kernels.connected_component_labels(n, su, sv)[su]
     order = np.argsort(edge_root, kind="stable")
     su, sv, sx = su[order], sv[order], sx[order]
     splits = np.nonzero(np.diff(edge_root[order]))[0] + 1
     scale = _capacity_scale(float(sx.max()))
-    components = []
+    # Per component, in order: its pins' sets, or the _Support whose
+    # pins the flow serves.
+    sections: list = []
     for cu, cv, cx in zip(
         np.split(su, splits), np.split(sv, splits), np.split(sx, splits)
     ):
@@ -797,19 +830,74 @@ def violated_forest_sets(
         if cx.size == verts.size - 1 and cx.max() <= 1.0:
             continue  # a tree: |E[S]| ≤ |S| − 1, so no S is violated
         a, b = np.searchsorted(verts, cu), np.searchsorted(verts, cv)
-        cap = np.floor(cx * scale).astype(np.int64)
-        components.append(_Support(verts, a, b, cx, cap))
+        if (cx == 1.0).all():
+            sections.append(_peeled_sets(verts, a, b, tolerance))
+        else:
+            cap = np.floor(cx * scale).astype(np.int64)
+            sections.append(_Support(verts, a, b, cx, cap))
 
+    flow_components = [s for s in sections if isinstance(s, _Support)]
+    flow_sets = (
+        chosen
+        for batch in _pin_batches(flow_components)
+        for chosen in _pinned_cut_sets(n, batch, scale, tolerance)
+    )
     violated: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for batch in _pin_batches(components):
-        for chosen in _pinned_cut_sets(n, batch, scale, tolerance):
+    for section in sections:
+        if isinstance(section, _Support):
+            section = islice(flow_sets, section.verts.size)
+        for chosen in section:
             if chosen is not None and len(chosen) >= 2 and chosen not in seen:
                 seen.add(chosen)
                 violated.append(chosen)
                 if len(violated) >= max_sets:
                     return violated
     return violated
+
+
+def _peeled_sets(
+    verts: np.ndarray, a: np.ndarray, b: np.ndarray, tolerance: float
+) -> list[Optional[frozenset[int]]]:
+    """Each pin's set, ascending, on a support component with every
+    weight ``1.0`` that is not a tree.
+
+    With unit weights, ``x(E[S]) − |S| + 1`` over ``S ∋ p`` is at most
+    the cyclomatic number ``m − nv + 1``, reached exactly by the sets
+    that are connected and hold every cycle edge.  The least of them is
+    the 2-core (what repeatedly deleting degree-1 vertices leaves) plus
+    the path along which ``p`` was peeled toward it, which is the
+    minimal source side of the pinned min cut.  Every pin gets ``None``
+    when the cyclomatic number is within ``tolerance``.
+    """
+    nv = verts.size
+    if a.size - nv + 1 <= tolerance:
+        return [None] * nv
+    degree = np.bincount(a, minlength=nv) + np.bincount(b, minlength=nv)
+    # nbr_sum[w] is the sum of w's unpeeled neighbours: the neighbour
+    # itself once w is down to one.
+    nbr_sum = np.zeros(nv, dtype=np.int64)
+    np.add.at(nbr_sum, a, b)
+    np.add.at(nbr_sum, b, a)
+    parent = np.full(nv, -1, dtype=np.int64)
+    peel_order: list[np.ndarray] = []
+    leaves = np.nonzero(degree == 1)[0]
+    while leaves.size:
+        # The 2-core holds a cycle, so no two leaves are adjacent.
+        up = nbr_sum[leaves]
+        parent[leaves] = up
+        peel_order.append(leaves)
+        degree[leaves] = 0
+        np.subtract.at(degree, up, 1)
+        np.subtract.at(nbr_sum, up, leaves)
+        leaves = np.unique(up[degree[up] == 1])
+    core = frozenset(verts[parent < 0].tolist())
+    sets = [core] * nv
+    ids = verts.tolist()
+    for leaves in reversed(peel_order):
+        for w, up in zip(leaves.tolist(), parent[leaves].tolist()):
+            sets[w] = sets[up] | {ids[w]}
+    return sets
 
 
 def _capacity_scale(x_max: float) -> int:
@@ -876,41 +964,18 @@ def _batched_max_flow(batch, scale: int):
     """One ``maximum_flow`` over every copy in ``batch``.
 
     Node 0 is the shared source and the last node the shared sink; each
-    copy takes ``m + nv`` consecutive nodes, edge nodes first.  Only the
-    forward arcs are built (the pin's vertex → sink arc left out); in the
-    residual ``capacity − flow`` an arc carrying flow reappears reversed.
-    Returns per batch entry the copies' integer flow values ``(k,)`` and
-    the vertex nodes reachable from the source in the residual graph
-    ``(k, nv)``.
+    copy takes ``m + nv`` consecutive nodes, edge nodes first
+    (:func:`_flow_network`).  Returns per batch entry the copies'
+    integer flow values ``(k,)`` and the vertex nodes reachable from the
+    source in the residual graph ``(k, nv)`` (:func:`_residual_reach`).
     """
     widths = [comp.x.size + comp.verts.size for comp, _, _ in batch]
     copies = [hi - lo for _, lo, hi in batch]
     starts = np.cumsum([1] + [w * k for w, k in zip(widths, copies)])
-    sink = int(starts[-1])
-    tails, heads, caps = [], [], []
-    for (comp, lo, hi), width, start in zip(batch, widths, starts):
-        m, k = comp.x.size, hi - lo
-        bases = start + width * np.arange(k)[:, None]
-        edge_nodes, vertex_nodes = bases + np.arange(m), bases + m
-        unpinned = np.ones((k, comp.verts.size), dtype=bool)
-        unpinned[np.arange(k), np.arange(lo, hi)] = False
-        tails += [np.zeros(k * m, dtype=np.int64), edge_nodes, edge_nodes]
-        heads += [edge_nodes, vertex_nodes + comp.a, vertex_nodes + comp.b]
-        caps += [np.tile(comp.cap, k), np.full(2 * k * m, _CAPACITY_SCALE)]
-        tails.append((vertex_nodes + np.arange(comp.verts.size))[unpinned])
-        heads.append(np.full(tails[-1].size, sink))
-        caps.append(np.full(tails[-1].size, scale))
-    rows = np.concatenate([t.ravel() for t in tails])
-    cols = np.concatenate([h.ravel() for h in heads])
-    capacity = sparse.coo_array(
-        (np.concatenate(caps), (rows, cols)), shape=(sink + 1, sink + 1)
-    ).tocsr()
-    flow = maximum_flow(capacity, 0, sink).flow
-    # Traversal treats stored zeros as arcs: keep only the open ones.
-    residual = capacity - flow > 0
-    reached = np.zeros(sink + 1, dtype=bool)
-    reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
-    sent = np.zeros(sink + 1, dtype=np.int64)
+    capacity = _flow_network(batch, scale, starts)
+    flow = maximum_flow(capacity, 0, capacity.shape[0] - 1).flow
+    reached = _residual_reach(capacity, flow)
+    sent = np.zeros(capacity.shape[0], dtype=np.int64)
     out = slice(flow.indptr[0], flow.indptr[1])
     sent[flow.indices[out]] = flow.data[out]
 
@@ -920,6 +985,82 @@ def _batched_max_flow(batch, scale: int):
         flows.append(sent[nodes].reshape(-1, width)[:, :m].sum(axis=1))
         reaches.append(reached[nodes].reshape(-1, width)[:, m:])
     return flows, reaches
+
+
+def _flow_network(batch, scale: int, starts: np.ndarray) -> sparse.csr_array:
+    """The batch's integer network as a CSR matrix, assembled in row
+    order: the source row (an arc to every edge node, capacity
+    ``c(e)``), then per copy its edge-node rows (arcs to both endpoints'
+    vertex nodes, ascending, capacity :data:`_CAPACITY_SCALE`) and its
+    vertex-node rows (the arc to the sink, capacity ``scale``, none for
+    the pin), and an empty sink row.  Only forward arcs are stored;
+    every one goes from a lower to a higher node."""
+    sink = int(starts[-1])
+    source_heads, source_caps = [], []
+    heads, caps, lengths = [], [], []
+    for (comp, lo, hi), start in zip(batch, starts):
+        m, nv, k = comp.x.size, comp.verts.size, hi - lo
+        bases = start + (m + nv) * np.arange(k)[:, None]
+        source_heads.append((bases + np.arange(m)).ravel())
+        source_caps.append(np.tile(comp.cap, k))
+        ends = np.stack(
+            [np.minimum(comp.a, comp.b), np.maximum(comp.a, comp.b)], axis=1
+        ).ravel()
+        heads.append(
+            np.concatenate(
+                [bases + m + ends, np.full((k, nv - 1), sink)], axis=1
+            ).ravel()
+        )
+        caps.append(
+            np.concatenate(
+                [np.full((k, 2 * m), _CAPACITY_SCALE), np.full((k, nv - 1), scale)],
+                axis=1,
+            ).ravel()
+        )
+        length = np.ones((k, m + nv), dtype=np.int64)
+        length[:, :m] = 2
+        length[np.arange(k), m + np.arange(lo, hi)] = 0
+        lengths.append(length.ravel())
+    row_lengths = np.concatenate(
+        [[sum(h.size for h in source_heads)], *lengths, [0]]
+    )
+    indptr = np.zeros(sink + 2, dtype=np.int32)
+    np.cumsum(row_lengths, out=indptr[1:])
+    return sparse.csr_array(
+        (
+            np.concatenate(source_caps + caps),
+            np.concatenate(source_heads + heads).astype(np.int32),
+            indptr,
+        ),
+        shape=(sink + 1, sink + 1),
+    )
+
+
+def _residual_reach(capacity: sparse.csr_array, flow: sparse.csr_array) -> np.ndarray:
+    """The nodes reachable from node 0 in the residual graph of ``flow``.
+
+    ``maximum_flow`` returns the flow on the network with a reverse arc
+    added to every arc, each row sorted by head.  A forward arc (head
+    above tail, as every arc of :func:`_flow_network`) is open while its
+    flow is below its capacity, and its row lists forward arcs in
+    ``capacity``'s order; a reverse arc is open while it carries
+    negative flow, the positive flow of its forward twin.  This is the
+    support of ``capacity − flow > 0``, read off the arrays.
+    """
+    nodes = flow.shape[0]
+    tails = np.repeat(np.arange(nodes), np.diff(flow.indptr))
+    forward = flow.indices > tails
+    open_arcs = flow.data < 0
+    open_arcs[forward] = flow.data[forward] < capacity.data
+    indptr = np.zeros(nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails[open_arcs], minlength=nodes), out=indptr[1:])
+    residual = sparse.csr_array(
+        (np.ones(indptr[-1], dtype=bool), flow.indices[open_arcs], indptr),
+        shape=flow.shape,
+    )
+    reached = np.zeros(nodes, dtype=bool)
+    reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
+    return reached
 
 
 def _float_pinned_cut(
@@ -973,20 +1114,14 @@ def cutting_plane_component(
     u, v = _as_edge_arrays(u, v)
     m = u.size
     target = float(n - 1)
-    cols = np.arange(m, dtype=np.int64)
-    degree_matrix = sparse.csr_matrix(
-        (np.ones(2 * m), (np.concatenate([u, v]), np.concatenate([cols, cols]))),
-        shape=(n, m),
-    )
     whole = frozenset(range(n))
-    whole_row, whole_rhs = _forest_constraint_matrix([whole], u, v, n)
     model = _HighsModel(
         -np.ones(m),
         np.zeros(m),
         np.ones(m),
-        sparse.vstack([degree_matrix, whole_row]),
+        _plane_columns(n, u, v),
         np.full(n + 1, -np.inf),
-        np.concatenate([np.full(n, float(delta)), whole_rhs]),
+        np.append(np.full(n, float(delta)), target),
     )
 
     in_model = {whole}
@@ -1026,7 +1161,7 @@ def cutting_plane_component(
             stall = 0
         last_value = lp_value
         in_model.update(new_sets)
-        model.add_rows(*_forest_constraint_matrix(new_sets, u, v, n))
+        model.add_rows(*_forest_rows(new_sets, u, v, n))
         total_added += len(new_sets)
     if strict:
         raise ForestLPError(
@@ -1070,27 +1205,34 @@ def _seed_master_certificate(
     )
 
 
-def _forest_constraint_matrix(
+def _plane_columns(n: int, u: np.ndarray, v: np.ndarray) -> _Columns:
+    """The cutting plane's first ``n + 1`` rows, column-wise: column
+    ``j`` is 1 in the degree rows of its endpoints and in row ``n``,
+    the whole-vertex-set forest row (rows ascending, as scipy's CSC
+    conversion orders them)."""
+    m = u.size
+    indices = np.empty((m, 3), dtype=np.int32)
+    indices[:, 0] = np.minimum(u, v)
+    indices[:, 1] = np.maximum(u, v)
+    indices[:, 2] = n
+    indptr = np.arange(0, 3 * m + 1, 3, dtype=np.int32)
+    return _Columns(indptr, indices.ravel(), np.ones(3 * m))
+
+
+def _forest_rows(
     forest_sets: list[frozenset[int]], u: np.ndarray, v: np.ndarray, n: int
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Sparse rows for ``x(E[S]) ≤ |S| − 1``, one per set."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    rhs = np.empty(len(forest_sets))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``x(E[S]) ≤ |S| − 1``, one per set, as int32 CSR
+    ``(indptr, indices)`` over the edges (ascending within a row) and
+    the right-hand sides."""
+    member = np.zeros((len(forest_sets), n), dtype=bool)
     for i, subset in enumerate(forest_sets):
-        rhs[i] = len(subset) - 1
-        member = np.zeros(n, dtype=bool)
-        member[list(subset)] = True
-        inside = np.nonzero(member[u] & member[v])[0]
-        rows.append(np.full(inside.size, i, dtype=np.int64))
-        cols.append(inside)
-    all_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    all_cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    matrix = sparse.csr_matrix(
-        (np.ones(all_rows.size), (all_rows, all_cols)),
-        shape=(len(forest_sets), u.size),
-    )
-    return matrix, rhs
+        member[i, list(subset)] = True
+    rows, cols = np.nonzero(member[:, u] & member[:, v])
+    indptr = np.zeros(len(forest_sets) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(forest_sets)), out=indptr[1:])
+    rhs = member.sum(axis=1) - 1.0
+    return indptr, cols.astype(np.int32), rhs
 
 
 # ----------------------------------------------------------------------
@@ -1307,7 +1449,7 @@ def _solve_master(
         c,
         np.zeros(k),
         np.full(k, np.inf),
-        sparse.vstack([a_ub, np.ones((1, k))]),
+        sparse.csc_array(sparse.vstack([a_ub, np.ones((1, k))])),
         np.append(np.full(n, -np.inf), 1.0),
         np.append(np.full(n, float(delta)), 1.0),
     )

@@ -90,6 +90,19 @@ def _repairs(outcome: str) -> float:
     )
 
 
+def _spy_kernel(monkeypatch) -> list:
+    """Record what each ``kernels.capped_spanning_tree`` call returns."""
+    trees = []
+    kernel = kernels.capped_spanning_tree
+
+    def spy(*args):
+        trees.append(kernel(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(kernels, "capped_spanning_tree", spy)
+    return trees
+
+
 class TestFastPaths:
     def test_fast_path_used_when_delta_large(self, monkeypatch):
         _forbid_lp(monkeypatch)
@@ -98,9 +111,20 @@ class TestFastPaths:
         assert _repairs("success") + _repairs("failure") == attempts
 
     def test_repair_fast_path(self, monkeypatch):
-        """Grid with Δ=3: repair finds an integral spanning 3-forest,
-        skipping the LP."""
+        """Grid with Δ=3: the spanning-tree kernel finds a spanning
+        3-tree, skipping Algorithm 3 and the LP."""
         _forbid_lp(monkeypatch)
+        trees = _spy_kernel(monkeypatch)
+        attempts = _repairs("success") + _repairs("failure")
+        assert evaluate_lipschitz_extension(grid_graph(3, 3), 3) == pytest.approx(8.0)
+        assert len(trees) == 1 and trees[0] is not None
+        assert _repairs("success") + _repairs("failure") == attempts
+
+    def test_repair_runs_when_the_kernel_declines(self, monkeypatch):
+        """Grid with Δ=3 and a kernel that finds nothing: Algorithm 3
+        runs and certifies, with one more success counted."""
+        _forbid_lp(monkeypatch)
+        monkeypatch.setattr(kernels, "capped_spanning_tree", lambda *args: None)
         before = _repairs("success")
         assert evaluate_lipschitz_extension(grid_graph(3, 3), 3) == pytest.approx(8.0)
         assert _repairs("success") == before + 1
@@ -136,19 +160,22 @@ LP_TREE_BOUND_COMPONENT = (
 
 
 class TestCertificateStep:
-    """Algorithm-3 repair, then the spanning-tree kernel, after the
-    counting test; and an LP value of exactly n − 1 certifies every
-    larger Δ."""
+    """The spanning-tree kernel, then Algorithm-3 repair only where the
+    kernel declines, after the counting test; and an LP value of exactly
+    n − 1 certifies every larger Δ."""
 
     def test_kernel_certifies_where_repair_fails(self, monkeypatch):
-        """BA(1000, 2), seed 0: repair fails at cap 4 and the kernel's
-        tree settles f_4 = n − 1 without the LP (the LP's value was
-        ``approx`` 989.47)."""
+        """BA(1000, 2), seed 0: the kernel's tree settles f_4 = n − 1
+        without Algorithm 3 (which fails at cap 4) or the LP (whose
+        value was ``approx`` 989.47)."""
         _forbid_lp(monkeypatch)
+        trees = _spy_kernel(monkeypatch)
         graph = barabasi_albert_compact(1000, 2, np.random.default_rng(0))
-        failures = _repairs("failure")
+        attempts = _repairs("success") + _repairs("failure")
         assert extension_for(graph).value(4) == 999.0
-        assert _repairs("failure") == failures + 1
+        assert len(trees) == 1 and trees[0] is not None
+        assert _repairs("success") + _repairs("failure") == attempts
+        assert graph.repair_spanning_forest(4).forest is None
 
     def test_lp_value_n_minus_1_settles_every_larger_delta(self, monkeypatch):
         graph = CompactGraph.from_edge_arrays(*LP_TREE_BOUND_COMPONENT)

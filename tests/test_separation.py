@@ -387,3 +387,107 @@ class TestCapacityOverflowGuard:
         with mock.patch.object(forest_core, "maximum_flow", _spy(maximum_flow, calls)):
             assert violated_forest_sets(n, u, v, x) == [frozenset({0, 1, 2})]
         assert calls == []
+
+
+def _ones_and_fractions(graph, rng):
+    """A weight per edge of ``graph``: every component, at random,
+    either 0/1 weights (mostly ones) or one of :data:`X_FAMILIES`, so
+    the support has all-ones components beside fractional ones."""
+    n, u, v = graph_arrays(graph)
+    x = np.zeros(u.size)
+    if not u.size:
+        return n, u, v, x
+    labels = CompactGraph.from_edge_arrays(n, u, v).component_labels()[u]
+    families = ["ones", "ones"] + sorted(X_FAMILIES)
+    for label in np.unique(labels).tolist():
+        inside = labels == label
+        family = families[int(rng.integers(len(families)))]
+        if family == "ones":
+            x[inside] = rng.random(int(inside.sum())) < 0.8
+        else:
+            x[inside] = X_FAMILIES[family](rng, int(inside.sum()))
+    return n, u, v, x
+
+
+class TestPeeling:
+    """Support components whose weights are all exactly 1.0 are served
+    by peeling to the 2-core instead of the flow network, with the same
+    list as the float reference."""
+
+    @given(
+        small_graphs(min_vertices=2, max_vertices=8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-7, 1e-9]),
+        st.sampled_from([1, 3, 256]),
+    )
+    @settings(max_examples=300)
+    def test_zero_one_points_match_the_reference(
+        self, g, seed, tolerance, max_sets
+    ):
+        n, u, v = graph_arrays(g)
+        rng = np.random.default_rng(seed)
+        x = (rng.random(u.size) < rng.choice([0.5, 0.8, 1.0])).astype(float)
+        expected = reference_violated_forest_sets(n, u, v, x, tolerance, max_sets)
+        assert violated_forest_sets(n, u, v, x, tolerance, max_sets) == expected
+
+    @given(
+        st.lists(small_graphs(min_vertices=2, max_vertices=6), min_size=2, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-7, 1e-9]),
+        st.sampled_from([1, 3, 256]),
+    )
+    @settings(max_examples=200)
+    def test_mixed_points_match_the_reference(
+        self, parts, seed, tolerance, max_sets
+    ):
+        n, u, v, x = _ones_and_fractions(
+            disjoint_union(parts), np.random.default_rng(seed)
+        )
+        expected = reference_violated_forest_sets(n, u, v, x, tolerance, max_sets)
+        assert violated_forest_sets(n, u, v, x, tolerance, max_sets) == expected
+
+    def test_all_ones_with_cycles_runs_no_flow(self):
+        n, u, v = graph_arrays(
+            disjoint_union([complete_graph(4), cycle_graph(5), path_graph(3)])
+        )
+        x = np.ones(u.size)
+        expected = reference_violated_forest_sets(n, u, v, x)
+        assert expected
+        calls = []
+        with mock.patch.object(
+            forest_core, "maximum_flow", _spy(maximum_flow, calls)
+        ), mock.patch.object(FlowNetwork, "max_flow", _raise):
+            assert violated_forest_sets(n, u, v, x) == expected
+        assert calls == []
+
+    def test_triangle_with_a_pendant_path(self):
+        """Triangle 0–1–2 with the path 2–3–4: pins 0, 1 and 2 get the
+        triangle, pin 3 the triangle plus 3, pin 4 plus 3 and 4."""
+        u = np.array([0, 0, 1, 2, 3], dtype=np.int64)
+        v = np.array([1, 2, 2, 3, 4], dtype=np.int64)
+        x = np.ones(u.size)
+        triangle = frozenset({0, 1, 2})
+        assert forest_core._peeled_sets(np.arange(5), u, v, 1e-7) == [
+            triangle,
+            triangle,
+            triangle,
+            triangle | {3},
+            triangle | {3, 4},
+        ]
+        expected = [triangle, triangle | {3}, triangle | {3, 4}]
+        assert reference_violated_forest_sets(5, u, v, x) == expected
+        calls = []
+        with mock.patch.object(forest_core, "maximum_flow", _spy(maximum_flow, calls)):
+            assert violated_forest_sets(5, u, v, x) == expected
+        assert calls == []
+
+    def test_a_weight_just_below_one_takes_the_flow(self):
+        n, u, v = graph_arrays(cycle_graph(5))
+        x = np.ones(u.size)
+        x[2] = 1 - 2**-52
+        expected = reference_violated_forest_sets(n, u, v, x)
+        assert expected == [frozenset(range(5))]
+        calls = []
+        with mock.patch.object(forest_core, "maximum_flow", _spy(maximum_flow, calls)):
+            assert violated_forest_sets(n, u, v, x) == expected
+        assert len(calls) == 1
