@@ -245,10 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--edits-mode",
         choices=("incremental", "rebuild"),
         default="incremental",
-        help="incremental: promote per-component extension tables so "
-        "only components touched by an edit batch recompute; rebuild: "
-        "disable promotion and pay a cold full rebuild per graph "
-        "version (served output is byte-identical either way)",
+        help="incremental: derive each new version's extension from "
+        "its parent's (spliced component tables, carried values) and "
+        "promote per-component extension tables, so only components "
+        "touched by an edit batch recompute; rebuild: disable both and "
+        "pay a cold full rebuild per graph version (served output is "
+        "byte-identical either way)",
     )
 
     daemon = subparsers.add_parser(

@@ -18,7 +18,12 @@ costs nothing.
 An object :class:`~repro.graphs.graph.Graph` is converted once by
 :func:`extension_for` (via :func:`~repro.graphs.compact.as_compact`), so
 ``CompactGraph`` → :mod:`repro.lp.forest_core` → :mod:`repro.kernels`
-is the only path from a graph to ``f_Δ``.
+is the only path from a graph to ``f_Δ``.  A graph version made by
+:meth:`~repro.graphs.compact.CompactGraph.apply_edits` can instead
+have its extension derived from its parent's
+(:meth:`CompactSpanningForestExtension.derive`): the component tables
+are spliced, only the touched components are valued, and every total
+is bit-identical to a cold build's.
 
 Lemma 3.3 properties (all verified by the test suite):
 
@@ -31,7 +36,7 @@ Lemma 3.3 properties (all verified by the test suite):
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +97,8 @@ class _ComponentwiseExtension:
     """Evaluation engine: per-component evaluation with monotone memoization.
 
     :class:`CompactSpanningForestExtension` supplies the graph-specific
-    part: ``_prepare()`` (idempotent, lazy) installs the per-component
+    part: ``_graph`` (whose ``f_sf`` is :attr:`true_value`),
+    ``_prepare()`` (idempotent, lazy) installs the per-component
     tables through :meth:`_finish_prepare`, ``_component_arrays(i) ->
     (n, u, v)`` returns the canonical local index arrays handed to the
     LP core (Algorithm-3 repair runs on a :class:`CompactGraph` built
@@ -104,7 +110,9 @@ class _ComponentwiseExtension:
     for every Δ' ≥ ⌊Δ⌋, and an LP value of exactly ``n − 1`` at Δ for
     every Δ' ≥ Δ (``_exact_from``); a failed certificate step at a given
     cap is never retried.  Values are cached per Δ at both the component
-    and the graph level.
+    and the graph level, and per Δ the values of the components the
+    exactness mask left pending are kept as one ``(slots, values)``
+    array pair (:meth:`_install`).
 
     With ``batched_certificates`` (the default), tree components — the
     overwhelming majority in sparse workloads — are valued at integral Δ
@@ -116,8 +124,10 @@ class _ComponentwiseExtension:
     tree, so neither the kernel nor Algorithm-3 repair finds one within
     the cap), after which the legacy path runs the exact same
     integral DP one component at a time.  Per-component bookkeeping is
-    lazy (dicts keyed by component index) so a million-component graph
-    pays nothing for the components the batched pass already settled.
+    lazy (dicts keyed by component index, for the components that reach
+    the certificate step or the LP, or are preloaded) so a
+    million-component graph pays nothing for the components the batched
+    pass already settled: their values live only in the per-Δ arrays.
     """
 
     #: Max vertices per batched-DP chunk — bounds the working-set of the
@@ -137,13 +147,16 @@ class _ComponentwiseExtension:
         self._maxdeg = np.zeros(0, dtype=np.int64)
         self._edge_counts = np.zeros(0, dtype=np.int64)
         self._exact_from: np.ndarray = np.zeros(0)
+        self._size_values: np.ndarray = np.zeros(0)
+        self._size_total = 0.0
         self._repair_failed: dict[int, set[int]] = {}
         self._lp_cache: dict[int, dict[float, float]] = {}
         self._compact_cache: dict[int, CompactGraph] = {}
         self._value_cache: dict[float, float] = {}
         self._fingerprints: dict[int, str] = {}
         self._valued: set[int] = set()
-        self._true_fsf = 0
+        self._slot_values: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._true_fsf: Optional[int] = None
 
     def _finish_prepare(self, sizes, maxdeg, edge_counts) -> None:
         """Install the per-component tables (called by ``_prepare``).
@@ -151,17 +164,21 @@ class _ComponentwiseExtension:
         ``edge_counts`` (edges per component, engine order) drives the
         batched tree pass; the per-component memos start empty — they
         are dicts keyed by component index, populated only for the
-        components that actually reach the repair/LP machinery.
+        components that actually reach the repair/LP machinery (or are
+        preloaded) — and so do the per-Δ slot arrays.
         """
         self._sizes = np.asarray(sizes, dtype=np.int64)
         self._maxdeg = np.asarray(maxdeg, dtype=np.int64)
         self._edge_counts = np.asarray(edge_counts, dtype=np.int64)
         self._exact_from = np.full(self._sizes.size, np.inf)
+        self._size_values = (self._sizes - 1).astype(np.float64)
+        self._size_total = float(np.sum(self._size_values))
         self._repair_failed = {}
         self._lp_cache = {}
         self._compact_cache = {}
         self._fingerprints = {}
         self._valued = set()
+        self._slot_values = {}
         self._prepared = True
 
     def _ensure_prepared(self) -> None:
@@ -216,7 +233,9 @@ class _ComponentwiseExtension:
     # -- public API ---------------------------------------------------------
     @property
     def true_value(self) -> int:
-        """The exact (non-private) ``f_sf(G)``."""
+        """The exact (non-private) ``f_sf(G)`` (computed on first use)."""
+        if self._true_fsf is None:
+            self._true_fsf = self._graph.spanning_forest_size()
         return self._true_fsf
 
     def value(self, delta: float) -> float:
@@ -228,51 +247,88 @@ class _ComponentwiseExtension:
         if cached is not None:
             return cached
         self._ensure_prepared()
-        if self._sizes.size == 0:
-            total = 0.0
+        slots = np.arange(self._sizes.size)
+        self._install(key, *self._value_slots(slots, key))
+        return self._value_cache[key]
+
+    def _install(self, key: float, slots: np.ndarray, values: np.ndarray) -> None:
+        """Install the total at ``key`` from the values of the components
+        the exactness mask left pending (``slots`` ascending); every
+        other component is worth ``size − 1``.
+
+        Fill one slot per component, then reduce with a single
+        fixed-shape ``np.sum``: the total depends only on the value in
+        each slot, never on *which* path (vectorized mask, memoized
+        certificate, preloaded component table, live LP, or a value
+        carried over from the parent version by :meth:`derive`)
+        produced it.  This is the bit-identity contract the
+        per-component cache relies on — a warm process may certify a
+        different subset of components than a cold one.  With nothing
+        pending the vector is the all-``size − 1`` one, summed once per
+        extension.  The ``(slots, values)`` pair is kept per Δ, so a
+        derived version can carry the values of the components an edit
+        did not touch.
+        """
+        if slots.size:
+            vector = self._size_values.copy()
+            vector[slots] = values
+            self._value_cache[key] = float(np.sum(vector))
         else:
-            certified = self._exact_from <= key
-            if certified.any():
-                _CERTIFICATE_HITS.inc(int(np.count_nonzero(certified)))
-            exact = (self._maxdeg <= key) | certified
-            # Fill one slot per component, then reduce with a single
-            # fixed-shape ``np.sum``: the total depends only on the value
-            # in each slot, never on *which* path (vectorized mask,
-            # memoized certificate, preloaded component table, or live
-            # LP) produced it.  This is the bit-identity contract the
-            # per-component cache relies on — a warm process may certify
-            # a different subset of components than a cold one.
-            values = np.empty(self._sizes.size)
-            values[exact] = self._sizes[exact] - 1
-            pending = np.nonzero(~exact)[0]
-            if pending.size:
-                pending = self._batched_tree_pass(pending, key, values)
-            for i in pending.tolist():
-                values[i] = self._component_value(i, key)
-            total = float(np.sum(values))
-        self._value_cache[key] = total
-        return total
+            self._value_cache[key] = self._size_total
+        self._slot_values[key] = (slots, values)
+
+    def _value_slots(
+        self, slots: np.ndarray, key: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Value the components ``slots`` (ascending) at ``key`` by the
+        cold rules: the exactness mask (``maxdeg ≤ Δ`` or a memoized
+        certificate), the batched tree DP, then per component the
+        certificate step and the LP.
+
+        Returns the components the mask left pending and their values.
+        """
+        certified = self._exact_from[slots] <= key
+        if certified.any():
+            _CERTIFICATE_HITS.inc(int(np.count_nonzero(certified)))
+        pending = slots[~((self._maxdeg[slots] <= key) | certified)]
+        values = np.empty(pending.size)
+        if pending.size == 0:
+            return pending, values
+        batch, batch_values = self._batched_tree_pass(pending, key)
+        rest = np.ones(pending.size, dtype=bool)
+        if batch.size:
+            at = np.searchsorted(pending, batch)
+            values[at] = batch_values
+            rest[at] = False
+        values[rest] = [
+            self._component_value(i, key) for i in pending[rest].tolist()
+        ]
+        return pending, values
 
     def _batched_tree_pass(
-        self, pending: np.ndarray, key: float, values: np.ndarray
-    ) -> np.ndarray:
+        self, pending: np.ndarray, key: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Value every pending *tree* component in one vectorized DP.
 
-        Fills ``values`` (and the per-component memo, exactly as
-        :meth:`_component_value` would) for the tree components without
-        a cached value at ``key``, and returns the component indices
-        still pending.  Only engages at integral Δ ≥ 1 with fast paths
-        on — the exact regime where the legacy per-component path is
-        guaranteed to resolve a tree by the same integral DP (see the
-        class docstring), so totals are bit-identical either way.
+        Returns ``(batch, values)``: the tree components among
+        ``pending`` without a memoized or preloaded value at ``key``,
+        and their exact values.  The values live only in the per-Δ slot
+        arrays (see :meth:`_install`), not in the per-component memo,
+        so the memo holds just the preloaded and repair/LP-valued
+        components and the filter below scans only those.  Only engages
+        at integral Δ ≥ 1 with fast paths on — the exact regime where
+        the legacy per-component path is guaranteed to resolve a tree by
+        the same integral DP (see the class docstring), so totals are
+        bit-identical either way.
         """
+        none = (pending[:0], np.empty(0))
         if not (
             self._batched_certificates
             and self._use_fast_paths
             and key >= 1.0
             and float(key).is_integer()
         ):
-            return pending
+            return none
         batch = pending[
             self._edge_counts[pending] == self._sizes[pending] - 1
         ]
@@ -288,8 +344,9 @@ class _ComponentwiseExtension:
             if cached.size:
                 batch = np.setdiff1d(batch, cached)
         if batch.size == 0:
-            return pending
+            return none
         cap = int(key)
+        values = np.empty(batch.size)
         with telemetry.span(
             "extension.batched_trees", components=int(batch.size), cap=cap
         ):
@@ -305,14 +362,12 @@ class _ComponentwiseExtension:
                     )
                 )
                 stop = min(max(stop, start + 1), batch.size)
-                chunk = batch[start:stop]
-                chunk_values = self._batched_tree_values(chunk, cap)
-                values[chunk] = chunk_values
-                for i, val in zip(chunk.tolist(), chunk_values.tolist()):
-                    self._lp_cache.setdefault(i, {})[key] = val
+                values[start:stop] = self._batched_tree_values(
+                    batch[start:stop], cap
+                )
                 start = stop
         _BATCHED_TREES.inc(int(batch.size))
-        return np.setdiff1d(pending, batch, assume_unique=True)
+        return batch, values
 
     def _batched_tree_values(self, chunk: np.ndarray, cap: int) -> np.ndarray:
         """Exact f_Δ for each tree component in ``chunk`` (one DP call)."""
@@ -350,7 +405,7 @@ class _ComponentwiseExtension:
 
     def gap(self, delta: float) -> float:
         """Return the approximation gap ``f_sf(G) − f_Δ(G) ≥ 0``."""
-        return max(self._true_fsf - self.value(delta), 0.0)
+        return max(self.true_value - self.value(delta), 0.0)
 
     def is_exact_at(self, delta: float, tolerance: float = 1e-6) -> bool:
         """Return ``True`` if ``f_Δ(G) = f_sf(G)`` (G is in the anchor set
@@ -461,10 +516,24 @@ class _ComponentwiseExtension:
                     table[key] = size_value
                 else:
                     cached = lp.get(key)
+                    if cached is None:
+                        cached = self._slot_value(i, key)
                     if cached is not None:
                         table[key] = cached
             tables.append((self._component_fingerprint(i), table))
         return tables
+
+    def _slot_value(self, i: int, key: float) -> Optional[float]:
+        """Component ``i``'s value at ``key`` in the per-Δ slot arrays
+        (a batched tree value, say), or ``None`` when the mask settled
+        it or ``key`` was not evaluated."""
+        slots, values = self._slot_values.get(key, (None, None))
+        if slots is None:
+            return None
+        at = int(np.searchsorted(slots, i))
+        if at < slots.size and slots[at] == i:
+            return float(values[at])
+        return None
 
     def preload_component_tables(
         self, tables: Mapping[int, Mapping[float, float]]
@@ -537,9 +606,11 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
 
     The shared kernel pass runs once, entirely on int arrays: component
     labels (Shiloach–Vishkin union-find), degree table, per-component
-    vertex and edge slices (grouped by a stable argsort over component
-    roots), and the local reindexing used by both Algorithm 3 and the
-    LP core.  Every Δ in the grid then reuses that work: exactness for
+    vertex and edge slices of the components with an edge (grouped by a
+    stable argsort over component roots), and the local reindexing used
+    by both Algorithm 3 and the LP core — or, for an edited version,
+    :meth:`derive` splices those tables from the parent's.  Every Δ in
+    the grid then reuses that work: exactness for
     ``Δ ≥ maxdeg`` is a vectorized mask, spanning-tree certificates are
     shared monotonically across candidates, and only the (typically few)
     stubborn components reach the LP core.  No object :class:`Graph` is
@@ -565,7 +636,6 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     def __init__(self, graph: CompactGraph, **options) -> None:
         super().__init__(**options)
         self._graph = graph
-        self._true_fsf = graph.spanning_forest_size()
         # Lazy canonical per-component arrays, keyed by component index;
         # populated only for components that reach the repair/LP path.
         self._edges: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
@@ -574,7 +644,6 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         self._estarts = np.zeros(1, dtype=np.int64)
         self._vertex_order = np.zeros(0, dtype=np.int64)
         self._vstarts = np.zeros(1, dtype=np.int64)
-        self._vg = np.zeros(0, dtype=np.int64)
         self._local_ids: Optional[np.ndarray] = None
 
     @property
@@ -586,11 +655,14 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         """One vectorized pass over the sorted component ids.
 
         Everything is reduceat/searchsorted work on int arrays — no
-        Python loop over components: sizes come from the vertex-group
-        boundaries, max degrees from a grouped ``np.maximum.reduceat``,
-        and the canonical local arrays each LP-bound component needs are
+        Python loop over components: the components with an edge (the
+        slots) get their edges and their vertices grouped by root in
+        the same order, sizes come from the vertex-group boundaries, max
+        degrees from a grouped ``np.maximum.reduceat``, and the
+        canonical local arrays each LP-bound component needs are
         deferred to :meth:`_component_arrays` (most components never ask
         — they are settled by the exactness mask or the batched DP).
+        Isolated vertices are in no slot: they add nothing to ``f_Δ``.
         """
         graph = self._graph
         u, v = graph.edge_arrays()
@@ -605,33 +677,242 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         sorted_roots = edge_root[edge_order]
         cuts = np.nonzero(np.diff(sorted_roots))[0] + 1
         starts = np.concatenate([[0], cuts, [eu.size]]).astype(np.int64)
-        # Vertex slices per component, grouped by the same roots; the
-        # stable argsort leaves each group's vertex ids ascending.
-        vertex_order = np.argsort(labels, kind="stable")
+        # The slots' vertices (degree ≥ 1), grouped by the same roots;
+        # the stable argsort leaves each group's vertex ids ascending.
+        live = np.flatnonzero(degrees)
+        vertex_order = live[np.argsort(labels[live], kind="stable")]
         vroots = labels[vertex_order]
         vcuts = np.nonzero(np.diff(vroots))[0] + 1
         vstarts = np.concatenate([[0], vcuts, [vroots.size]]).astype(np.int64)
-        vgroup_roots = vroots[vstarts[:-1]]
-        # Map each edge-bearing group to its vertex group (vertex groups
-        # also cover isolated vertices, so the two indexings differ).
-        vg = np.searchsorted(vgroup_roots, sorted_roots[starts[:-1]])
-        sizes = vstarts[vg + 1] - vstarts[vg]
-        group_maxdeg = np.maximum.reduceat(degrees[vertex_order], vstarts[:-1])
         self._eu, self._ev = eu, ev
         self._estarts = starts
         self._vertex_order = vertex_order
         self._vstarts = vstarts
-        self._vg = np.asarray(vg, dtype=np.int64)
-        self._finish_prepare(sizes, group_maxdeg[vg], np.diff(starts))
+        self._finish_prepare(
+            np.diff(vstarts),
+            np.maximum.reduceat(degrees[vertex_order], vstarts[:-1]),
+            np.diff(starts),
+        )
+
+    def derive(
+        self,
+        graph: CompactGraph,
+        touched_old: Iterable[int],
+        touched_new: Iterable[int],
+        grid: Sequence[float],
+        lookup: Optional[Callable[[str, bool], Optional[Mapping[float, float]]]],
+    ) -> Optional["CompactSpanningForestExtension"]:
+        """The extension of ``graph``, derived from this one's.
+
+        ``graph`` must be this extension's graph after one
+        :meth:`CompactGraph.apply_edits` batch, and ``touched_old`` /
+        ``touched_new`` that batch's touched component ids.  Returns
+        ``None`` — derive nothing — unless this extension has evaluated
+        every Δ of ``grid`` and both graphs have edges.
+
+        A slot is a component with at least one edge, in root order.
+        The touched components' slots (and vertex and edge groups) are
+        removed from, and the new ones inserted into, the slot tables
+        and the prepared arrays, which then equal a cold ``_prepare``'s.
+        Every untouched slot keeps its certificate, failed caps, LP
+        table, fingerprint and canonical arrays, and its value at each
+        grid Δ.  ``lookup(fingerprint, carried)`` (unless ``None``) is
+        called once per distinct promotion candidate (see
+        :meth:`candidate_fingerprints`) of the new version, ``carried``
+        telling whether an untouched slot has it, and a table it returns
+        is preloaded into the touched slots with that fingerprint.  The
+        touched slots are then valued over the grid in ascending Δ by the
+        cold rules, and each Δ's slot vector is summed as cold
+        (:meth:`_install`): slot for slot it equals the cold vector, so
+        every total is bit-identical.  The new extension holds no
+        reference to this one or its graph.
+        """
+        keys = sorted({float(delta) for delta in grid})
+        if (
+            not self._prepared
+            or self._sizes.size == 0
+            or graph.number_of_edges() == 0
+            or graph.number_of_vertices() != self._graph.number_of_vertices()
+            or any(key not in self._slot_values for key in keys)
+        ):
+            return None
+        with telemetry.span("extension.derive", touched=len(touched_new)):
+            spliced = self._spliced(graph, touched_old, touched_new, keys)
+            if spliced is None:
+                return None
+            child, new_slots, carried = spliced
+            if lookup is not None:
+                child._reuse_tables(grid, new_slots, lookup)
+            for key in keys:
+                slots, values = carried[key]
+                pending, fresh = child._value_slots(new_slots, key)
+                if pending.size:
+                    at = np.searchsorted(slots, pending)
+                    slots = np.insert(slots, at, pending)
+                    values = np.insert(values, at, fresh)
+                child._install(key, slots, values)
+        return child
+
+    def _spliced(self, graph, touched_old, touched_new, keys):
+        """``(child, new_slots, carried)``: the prepared extension of
+        ``graph`` with this one's untouched slots carried over, the
+        child indices of the touched ones, and per Δ of ``keys`` the
+        untouched slots' ``(slots, values)`` pair.  ``None`` when the
+        touched ids do not describe ``graph`` as an edit of this graph.
+        """
+        old_roots = np.array(sorted(touched_old), dtype=np.int64)
+        new_roots = np.array(sorted(touched_new), dtype=np.int64)
+        if old_roots.size == 0 or not np.array_equal(
+            self._graph.component_labels()[old_roots], old_roots
+        ):
+            return None
+        # The touched vertices, the same set before and after the edit:
+        # the old touched slots' vertex groups plus the old touched
+        # isolated vertices.
+        slot_roots = self._vertex_order[self._vstarts[:-1]]
+        at = np.minimum(np.searchsorted(slot_roots, old_roots), slot_roots.size - 1)
+        is_slot = slot_roots[at] == old_roots
+        old_slots = at[is_slot]
+        old_lo = self._vstarts[old_slots]
+        picked = _multi_slice(
+            old_lo, self._sizes[old_slots], int(self._sizes[old_slots].sum())
+        )
+        verts = np.sort(
+            np.concatenate([self._vertex_order[picked], old_roots[~is_slot]])
+        )
+        labels = graph.component_labels()
+        grouped = verts[np.argsort(labels[verts], kind="stable")]
+        grouped_roots = labels[grouped]
+        first = np.concatenate([[True], grouped_roots[1:] != grouped_roots[:-1]])
+        if not np.array_equal(grouped_roots[first], new_roots):
+            return None
+        group_starts = np.flatnonzero(first)
+        group_sizes = np.diff(np.append(group_starts, grouped.size))
+        # The new slots: the touched groups with two or more vertices.
+        multi = group_sizes >= 2
+        new_sizes = group_sizes[multi]
+        slot_at = np.searchsorted(slot_roots, new_roots[multi])
+        slot_at -= np.searchsorted(old_slots, slot_at)
+        new_slots = slot_at + np.arange(slot_at.size)
+
+        def splice(array, fresh):
+            return kernels.splice(array, old_slots, slot_at, fresh)
+
+        sizes = splice(self._sizes, new_sizes)
+        vstarts = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=vstarts[1:])
+        vertex_order = kernels.splice(
+            self._vertex_order,
+            picked,
+            np.repeat(vstarts[new_slots] - (np.cumsum(new_sizes) - new_sizes), new_sizes),
+            grouped[np.repeat(multi, group_sizes)],
+        )
+        # The new slots' edges, u < v rows in order, from the new CSR.
+        indptr, indices = graph.indptr, graph.indices
+        row_lo = indptr[verts]
+        row_len = indptr[verts + 1] - row_lo
+        cols = indices[_multi_slice(row_lo, row_len, int(row_len.sum()))]
+        rows = np.repeat(verts, row_len)
+        upper = cols > rows
+        tu, tv = rows[upper], cols[upper]
+        by_slot = np.argsort(labels[tu], kind="stable")
+        tu, tv = tu[by_slot], tv[by_slot]
+        new_counts = np.diff(
+            np.append(np.searchsorted(labels[tu], new_roots[multi]), tu.size)
+        )
+        edge_counts = splice(self._edge_counts, new_counts)
+        estarts = np.zeros(edge_counts.size + 1, dtype=np.int64)
+        np.cumsum(edge_counts, out=estarts[1:])
+        if estarts[-1] != graph.number_of_edges():
+            return None
+        old_elo = self._estarts[old_slots]
+        dropped = _multi_slice(
+            old_elo,
+            self._edge_counts[old_slots],
+            int(self._edge_counts[old_slots].sum()),
+        )
+        edge_at = np.repeat(
+            estarts[new_slots] - (np.cumsum(new_counts) - new_counts), new_counts
+        )
+        degrees = indptr[grouped + 1] - indptr[grouped]
+        new_maxdeg = np.maximum.reduceat(degrees, group_starts)[multi]
+
+        child = type(self)(
+            graph,
+            use_fast_paths=self._use_fast_paths,
+            batched_certificates=self._batched_certificates,
+        )
+        child._true_fsf = self.true_value + old_roots.size - new_roots.size
+        child._eu = kernels.splice(self._eu, dropped, edge_at, tu)
+        child._ev = kernels.splice(self._ev, dropped, edge_at, tv)
+        child._estarts = estarts
+        child._vertex_order = vertex_order
+        child._vstarts = vstarts
+        child._finish_prepare(sizes, splice(self._maxdeg, new_maxdeg), edge_counts)
+        child._exact_from = splice(self._exact_from, np.full(slot_at.size, np.inf))
+
+        def moved(slots):
+            """Child indices of the parent's ``slots`` (-1: touched)."""
+            dropped_before = np.searchsorted(old_slots, slots)
+            kept = slots - dropped_before
+            child_slots = kept + np.searchsorted(slot_at, kept, side="right")
+            if old_slots.size:
+                at_drop = np.minimum(dropped_before, old_slots.size - 1)
+                child_slots[old_slots[at_drop] == slots] = -1
+            return child_slots
+
+        def carry(table, copy=lambda item: item):
+            if not table:
+                return {}
+            slots = list(table)
+            return {
+                j: copy(table[i])
+                for i, j in zip(slots, moved(np.array(slots)).tolist())
+                if j >= 0
+            }
+
+        child._repair_failed = carry(self._repair_failed, set)
+        child._lp_cache = carry(self._lp_cache, dict)
+        child._compact_cache = carry(self._compact_cache)
+        child._fingerprints = carry(self._fingerprints)
+        child._edges = carry(self._edges)
+        carried = {}
+        for key in keys:
+            slots, values = self._slot_values[key]
+            if slots.size:
+                slots = moved(slots)
+                keep = slots >= 0
+                slots, values = slots[keep], values[keep]
+            carried[key] = (slots, values)
+        return child, new_slots, carried
+
+    def _reuse_tables(self, grid, new_slots, lookup) -> None:
+        """Ask ``lookup`` once per distinct candidate fingerprint, in
+        slot order, and preload the tables it returns into the touched
+        slots ``new_slots`` that carry those fingerprints."""
+        fresh = np.zeros(self._sizes.size, dtype=bool)
+        fresh[new_slots] = True
+        carried: dict[str, bool] = {}
+        touched: dict[str, list[int]] = {}
+        for i, fingerprint in self.candidate_fingerprints(grid).items():
+            if fresh[i]:
+                touched.setdefault(fingerprint, []).append(i)
+                carried.setdefault(fingerprint, False)
+            else:
+                carried[fingerprint] = True
+        tables: dict[int, Mapping[float, float]] = {}
+        for fingerprint, reused in carried.items():
+            table = lookup(fingerprint, reused)
+            if table and fingerprint in touched:
+                tables.update(dict.fromkeys(touched[fingerprint], table))
+        if tables:
+            self.preload_component_tables(tables)
 
     def _component_arrays(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
         cached = self._edges.get(i)
         if cached is None:
             lo, hi = int(self._estarts[i]), int(self._estarts[i + 1])
-            vg = int(self._vg[i])
-            verts = self._vertex_order[
-                self._vstarts[vg] : self._vstarts[vg + 1]
-            ]
+            verts = self._vertex_order[self._vstarts[i] : self._vstarts[i + 1]]
             lu = np.searchsorted(verts, self._eu[lo:hi])
             lv = np.searchsorted(verts, self._ev[lo:hi])
             order = np.lexsort((lv, lu))
@@ -650,9 +931,8 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         a reusable O(n) scatter buffer — no per-component Python work,
         so a million-tree batch is a handful of array ops.
         """
-        vg = self._vg[batch]
-        vlo = self._vstarts[vg]
-        vlen = self._vstarts[vg + 1] - vlo
+        vlo = self._vstarts[batch]
+        vlen = self._vstarts[batch + 1] - vlo
         offsets = np.zeros(batch.size + 1, dtype=np.int64)
         np.cumsum(vlen, out=offsets[1:])
         nloc = int(offsets[-1])

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .. import kernels
 from .graph import Graph, Vertex
 from .independent_set import mis_of_adjacency
 
@@ -102,6 +103,92 @@ def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
         inside = pos < sorted_keys.size
         member[inside] = sorted_keys[pos[inside]] == values[inside]
     return member
+
+
+def _row_positions(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """For each ``k``, the first position in CSR row ``rows[k]`` whose
+    column is at least ``cols[k]`` (its end when there is none).
+
+    A vectorized binary search over the sorted row slices: one round of
+    array work per halving, so O(k log maxdeg) for k queries.
+    """
+    lo = indptr[rows]
+    hi = indptr[rows + 1]
+    last = max(indices.size - 1, 0)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        right = open_ & (indices[np.minimum(mid, last)] < cols)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+
+
+def _shifted(starts: np.ndarray, rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``starts`` plus, from index ``rows[k] + 1`` on, the sum of the
+    ``delta[k]`` of every ``rows[k]`` before it (``rows`` ascending).
+
+    The CSR ``indptr`` after changing the degree of ``rows`` by
+    ``delta``: one ``np.repeat`` of the piecewise-constant shift instead
+    of a cumulative sum over every vertex.
+    """
+    shift = np.concatenate([[0], np.cumsum(delta)])
+    lengths = np.diff(np.concatenate([[0], rows + 1, [starts.size]]))
+    shifted = np.repeat(shift, lengths)
+    shifted += starts
+    return shifted
+
+
+def _relabelled(
+    labels: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    del_at: np.ndarray,
+    del_u: np.ndarray,
+    ins_u: np.ndarray,
+    ins_v: np.ndarray,
+) -> np.ndarray:
+    """Component labels after an edit batch, patched from ``labels``.
+
+    ``(u, v)`` is the old ``u < v`` edge list, ``del_at`` the rows it
+    deletes and ``del_u`` their lower endpoints; ``(ins_u, ins_v)`` are
+    the inserted edges.  A delete can split only its own component, so
+    every component that loses an edge is relabelled by a local
+    union-find over its vertices and its remaining edges (each vertex
+    of it keeps an edge or ends one of the deleted ones).  An insert
+    then merges the labels of its two endpoints into the smaller one.
+    Every other vertex keeps its label, which stays its component's
+    minimum vertex.
+    """
+    labels = labels.copy()
+    if del_at.size:
+        split = np.unique(labels[del_u])
+        inside = np.isin(labels[u], split, kind="sort")
+        keep = inside.copy()
+        keep[del_at] = False
+        verts = np.unique(np.concatenate([u[inside], v[inside]]))
+        local = kernels.connected_component_labels(
+            verts.size,
+            np.searchsorted(verts, u[keep]),
+            np.searchsorted(verts, v[keep]),
+        )
+        labels[verts] = verts[local]
+    if ins_u.size:
+        a, b = labels[ins_u], labels[ins_v]
+        roots = np.unique(np.concatenate([a, b]))
+        merged = roots[
+            kernels.connected_component_labels(
+                roots.size, np.searchsorted(roots, a), np.searchsorted(roots, b)
+            )
+        ]
+        moved = merged != roots
+        if moved.any():
+            hit = np.isin(labels, roots[moved], kind="sort")
+            labels[hit] = merged[np.searchsorted(roots, labels[hit])]
+    return labels
 
 
 def component_fingerprint(n: int, u: np.ndarray, v: np.ndarray) -> str:
@@ -639,9 +726,19 @@ class CompactGraph:
         plus the set of touched components (old and new component ids).
 
         The graph itself is immutable: the edited graph is a fresh
-        instance with fresh memos (its whole-graph :meth:`fingerprint`
-        and :meth:`component_fingerprints` are recomputed from the new
-        content, never inherited), and ``self`` is untouched.
+        instance and ``self`` is untouched.  The batch is spliced in,
+        never rebuilt: the effective edits are deleted from and
+        inserted into the sorted ``u < v`` edge list and the affected
+        CSR rows, ``indptr`` shifts by the cumulative degree change, and
+        the component labels are patched (an insert merges two labels
+        into the smaller one; a component that loses an edge is
+        relabelled by a local union-find over its own vertices), so no
+        sort and no whole-graph union-find runs.  The new graph starts
+        with its :meth:`edge_arrays` and :meth:`component_labels` memos
+        set, equal in value and dtype to a scratch build's; its
+        whole-graph :meth:`fingerprint` and
+        :meth:`component_fingerprints` are still hashed from the new
+        content when first asked for, never inherited.
 
         Semantics
         ---------
@@ -676,20 +773,66 @@ class CompactGraph:
         eff_del = dels[_in_sorted(dels, old_keys)]
         if not eff_ins.size and not eff_del.size:
             return EditResult(self, frozenset(), frozenset(), 0, 0)
-        new_keys = np.union1d(
-            np.setdiff1d(old_keys, eff_del, assume_unique=True), eff_ins
+        ins_u, ins_v = np.divmod(eff_ins, n)
+        del_u, del_v = np.divmod(eff_del, n)
+        # Positions in the u < v list; an insert's position counts the
+        # rows left after the deletes.
+        del_at = np.searchsorted(old_keys, eff_del)
+        ins_at = np.searchsorted(old_keys, eff_ins)
+        ins_at -= np.searchsorted(del_at, ins_at)
+        graph = CompactGraph(
+            *self._spliced_csr(ins_u, ins_v, del_u, del_v),
+            labels=self._labels,
+            _validate=False,
         )
-        graph = CompactGraph.from_edge_arrays(
-            n, new_keys // n, new_keys % n, labels=self._labels
+        graph._edge_u = kernels.splice(u, del_at, ins_at, ins_u)
+        graph._edge_v = kernels.splice(v, del_at, ins_at, ins_v)
+        old_labels = self.component_labels()
+        graph._component_labels = _relabelled(
+            old_labels, u, v, del_at, del_u, ins_u, ins_v
         )
-        changed = np.concatenate([eff_ins, eff_del])
-        verts = np.unique(np.concatenate([changed // n, changed % n]))
+        verts = np.unique(np.concatenate([ins_u, ins_v, del_u, del_v]))
         return EditResult(
             graph,
-            frozenset(self.component_labels()[verts].tolist()),
-            frozenset(graph.component_labels()[verts].tolist()),
+            frozenset(old_labels[verts].tolist()),
+            frozenset(graph._component_labels[verts].tolist()),
             int(eff_ins.size),
             int(eff_del.size),
+        )
+
+    def _spliced_csr(
+        self,
+        ins_u: np.ndarray,
+        ins_v: np.ndarray,
+        del_u: np.ndarray,
+        del_v: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` with the deleted edges taken out of, and
+        the inserted ones put into, both endpoints' sorted rows."""
+        indptr, indices = self._indptr, self._indices
+        del_rows = np.concatenate([del_u, del_v])
+        del_at = np.sort(
+            _row_positions(
+                indptr, indices, del_rows, np.concatenate([del_v, del_u])
+            )
+        )
+        ins_rows = np.concatenate([ins_u, ins_v])
+        ins_cols = np.concatenate([ins_v, ins_u])
+        # Row-major order, so inserts landing on one position (a row's
+        # end and the next row's start, or neighbours in one row) go in
+        # as the CSR order needs them.
+        order = np.lexsort((ins_cols, ins_rows))
+        ins_rows, ins_cols = ins_rows[order], ins_cols[order]
+        ins_at = _row_positions(indptr, indices, ins_rows, ins_cols)
+        ins_at -= np.searchsorted(del_at, ins_at)
+        rows = np.concatenate([ins_rows, del_rows])
+        delta = np.concatenate(
+            [np.ones(ins_rows.size, np.int64), np.full(del_rows.size, -1, np.int64)]
+        )
+        by_row = np.argsort(rows, kind="stable")
+        return (
+            _shifted(indptr, rows[by_row], delta[by_row]),
+            kernels.splice(indices, del_at, ins_at, ins_cols),
         )
 
     # ------------------------------------------------------------------
@@ -705,8 +848,6 @@ class CompactGraph:
         """
         if self._component_labels is not None:
             return self._component_labels
-        from .. import kernels
-
         u, v = self.edge_arrays()
         parent = kernels.connected_component_labels(
             self.number_of_vertices(), u, v

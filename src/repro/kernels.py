@@ -4,13 +4,15 @@ The compact pipeline's innermost integer kernels — the connected-
 component union-find, the forest/acyclicity check, the Kruskal-style
 greedy forest selections used by column-generation pricing, and the
 spanning-tree certificates of the extension (a degree-capped spanning
-tree search and the counting test that rules one out) — live here, on
-numpy and plain Python with no dependency beyond numpy.
+tree search and the counting test that rules one out), and the sorted
+array splice that edits a graph version's arrays in place of a rebuild
+— live here, on numpy and plain Python with no dependency beyond numpy.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "greedy_capped_forest",
     "capped_spanning_tree",
     "excludes_capped_spanning_tree",
+    "splice",
 ]
 
 
@@ -59,6 +62,54 @@ def connected_component_labels(
         # so later rounds touch only the still-merging frontier.
         u, v = u[cross], v[cross]
     return parent
+
+
+# ----------------------------------------------------------------------
+# Sorted-array splice
+# ----------------------------------------------------------------------
+def splice(
+    array: np.ndarray, drop: np.ndarray, at: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``np.insert(np.delete(array, drop), at, values)`` for ascending
+    ``drop`` and ``at`` (``at`` indexes the array left after the drops).
+
+    Built by concatenating slices: one copy of ``array`` plus one Python
+    step per run of consecutive dropped positions and per run of values
+    inserted at one position, where numpy's pair would build and apply
+    boolean masks over the whole array twice.  Values sharing a
+    position keep their order, as with ``np.insert``.
+    """
+    drop = np.asarray(drop, dtype=np.int64)
+    at = np.asarray(at, dtype=np.int64)
+    values = np.asarray(values, dtype=array.dtype)
+    # Each cut (lo, hi, run) skips array[lo:hi], then inserts values[run].
+    cuts: list[tuple[int, int, Optional[slice]]] = []
+    if drop.size:
+        breaks = np.flatnonzero(np.diff(drop) != 1) + 1
+        lo = drop[np.concatenate([[0], breaks])]
+        hi = drop[np.concatenate([breaks - 1, [drop.size - 1]])] + 1
+        cuts += [(a, b, None) for a, b in zip(lo.tolist(), hi.tolist())]
+    if at.size:
+        # The position in ``array`` each value goes before; it never
+        # falls inside or at the start of a run of dropped positions.
+        before = at + np.searchsorted(drop - np.arange(drop.size), at, side="right")
+        breaks = np.flatnonzero(np.diff(before)) + 1
+        first = np.concatenate([[0], breaks]).tolist()
+        last = np.concatenate([breaks, [at.size]]).tolist()
+        cuts += [
+            (p, p, slice(a, b))
+            for p, a, b in zip(before[first].tolist(), first, last)
+        ]
+    cuts.sort(key=lambda cut: cut[0])
+    pieces = []
+    prev = 0
+    for lo, hi, run in cuts:
+        pieces.append(array[prev:lo])
+        if run is not None:
+            pieces.append(values[run])
+        prev = hi
+    pieces.append(array[prev:])
+    return np.concatenate(pieces)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,6 +100,17 @@ class _GraphEntry:
     extension: Any = field(default=None, repr=False)
 
 
+class _Lineage(NamedTuple):
+    """Graph ``child`` is graph ``parent`` after one edit batch that
+    touched the component ids ``touched_old`` / ``touched_new``
+    (fingerprints and ids only: a lineage keeps no graph alive)."""
+
+    parent: str
+    child: str
+    touched_old: frozenset[int]
+    touched_new: frozenset[int]
+
+
 class ReleaseSession:
     """Batched serving layer over the estimator registry.
 
@@ -144,10 +155,20 @@ class ReleaseSession:
         by the exactness mask or the batched tree DP, as in a cold
         release.  After an edit batch only the touched
         components pay Algorithm-3/LP work again; released values stay
-        bit-identical to a cold full rebuild.  The ``component_hits``,
+        bit-identical to a cold full rebuild.  When the edit-stream
+        server has recorded the batch (:meth:`record_edit`) and the
+        parent version is still resident with the query's whole grid
+        evaluated, the new version's first miss goes further: its
+        extension is derived from the parent's
+        (:meth:`~repro.core.extension.CompactSpanningForestExtension.derive`),
+        splicing the component tables instead of re-running the
+        component split, so the miss costs about a hit plus the touched
+        components.  The ``component_hits``,
         ``component_misses`` and ``component_promotions`` counters count
-        these candidate components only.  Set
-        ``component_promotion=False`` to force full rebuilds.
+        these candidate components only (a table carried over from the
+        parent counts as a hit).  Set
+        ``component_promotion=False`` to force full rebuilds; such a
+        session never derives.
 
     Examples
     --------
@@ -198,11 +219,15 @@ class ReleaseSession:
         self._component_memo: OrderedDict[str, dict[float, float]] = (
             OrderedDict()
         )
-        # Component keys already in the memo/disk layer (skip re-store),
-        # and (graph, grid) coordinates whose components were already
-        # exported (skip re-export on every hot query).
+        # Component keys already in the memo/disk layer (skip re-store;
+        # a memo-only key leaves when the memo evicts it), and per
+        # resident graph the grid keys whose components were already
+        # exported (skip re-export on every hot query; dropped with the
+        # graph on LRU eviction).
         self._promoted_components: set[str] = set()
-        self._promoted_graphs: set[str] = set()
+        self._promoted_graphs: dict[str, set[str]] = {}
+        # The latest edit batch the edit-stream server recorded.
+        self._lineage: Optional[_Lineage] = None
         self.metrics = telemetry.MetricsRegistry(parent=telemetry.default_registry())
         self._queries = self.metrics.counter(
             "repro_session_queries_total", "Release queries answered by sessions"
@@ -230,6 +255,11 @@ class ReleaseSession:
         self._component_promotions = self.metrics.counter(
             "repro_session_component_promotions_total",
             "Component value tables promoted to the content-addressed layer",
+        )
+        self._derived_extensions = self.metrics.counter(
+            "repro_session_derived_extensions_total",
+            "Whole-graph misses answered by deriving the new version's "
+            "extension from its parent's",
         )
         self.stats = SessionStats(self.metrics)
 
@@ -267,8 +297,36 @@ class ReleaseSession:
             # edited descendants of the graph still warm-start.
             self._persist_entry(evicted_key, evicted)
             self._promote_components(evicted_key, evicted)
+            self._promoted_graphs.pop(evicted_key, None)
             self._evictions.inc()
         return fingerprint
+
+    def record_edit(
+        self,
+        parent: str,
+        child: str,
+        touched_old: Iterable[int],
+        touched_new: Iterable[int],
+    ) -> None:
+        """Record that graph ``child`` is graph ``parent`` after one
+        :meth:`CompactGraph.apply_edits` batch with these touched
+        component ids (fingerprints and the result's ``touched_old`` /
+        ``touched_new``).
+
+        The edit-stream server (:mod:`repro.service.streaming`) calls
+        this after every applied batch.  Only the latest record is kept,
+        and it holds no graph.  ``child``'s first whole-graph miss then
+        derives its extension from ``parent``'s when component promotion
+        is on, ``parent`` is resident and its extension has evaluated
+        every Δ of the query's grid; otherwise the miss takes the usual
+        path (disk record, then component tables, then cold).  The
+        record is trusted as :meth:`CompactGraph.apply_edits` made it:
+        derivation checks only that the touched ids are component ids of
+        the two versions and that the edge counts add up.
+        """
+        self._lineage = _Lineage(
+            parent, child, frozenset(touched_old), frozenset(touched_new)
+        )
 
     def _entry_for(
         self, graph=None, fingerprint: Optional[str] = None
@@ -325,27 +383,59 @@ class ReleaseSession:
         grid: Optional[list] = None,
     ):
         if entry.extension is None:
-            extension = extension_for(entry.graph)
-            warmed = False
-            if (
-                self.cache is not None
-                and fingerprint is not None
-                and grid is not None
-            ):
-                warmed = self._warm_from_disk(extension, fingerprint, grid)
-            # Whole-graph miss (a new graph version, typically): fall
-            # back to component granularity, so only components touched
-            # by an edit batch pay the LP again.  Skipped when neither
-            # the memo nor a disk cache could possibly answer.
-            if (
-                not warmed
-                and grid is not None
-                and self._component_promotion
-                and (self._component_memo or self.cache is not None)
-            ):
-                self._warm_components(extension, grid)
+            extension = self._derived(entry.graph, fingerprint, grid)
+            if extension is None:
+                extension = self._built(entry.graph, fingerprint, grid)
             entry.extension = extension
         return entry.extension
+
+    def _derived(self, graph, fingerprint: Optional[str], grid):
+        """The extension of the recorded edit's child version, derived
+        from its resident parent's, or ``None`` (see :meth:`record_edit`)."""
+        lineage = self._lineage
+        if (
+            not self._component_promotion
+            or grid is None
+            or lineage is None
+            or lineage.child != fingerprint
+        ):
+            return None
+        parent = self._entries.get(lineage.parent)
+        if parent is None or parent.extension is None:
+            return None
+        derived = parent.extension.derive(
+            graph,
+            lineage.touched_old,
+            lineage.touched_new,
+            grid,
+            # As on the usual path, no lookups when nothing could answer.
+            (lambda fp, carried: self._reused_table(fp, grid, carried))
+            if self._component_memo or self.cache is not None
+            else None,
+        )
+        if derived is not None:
+            self._derived_extensions.inc()
+        return derived
+
+    def _built(self, graph, fingerprint: Optional[str], grid):
+        """A new extension for ``graph``: warmed from its disk record,
+        else from component tables, else cold."""
+        extension = extension_for(graph)
+        warmed = False
+        if self.cache is not None and fingerprint is not None and grid is not None:
+            warmed = self._warm_from_disk(extension, fingerprint, grid)
+        # Whole-graph miss (a new graph version, typically): fall back
+        # to component granularity, so only components touched by an
+        # edit batch pay the LP again.  Skipped when neither the memo
+        # nor a disk cache could possibly answer.
+        if (
+            not warmed
+            and grid is not None
+            and self._component_promotion
+            and (self._component_memo or self.cache is not None)
+        ):
+            self._warm_components(extension, grid)
+        return extension
 
     def _component_key(self, fingerprint: str, grid) -> str:
         """Content address of one component table for this session."""
@@ -357,7 +447,39 @@ class ReleaseSession:
         memo[key] = table
         memo.move_to_end(key)
         while len(memo) > _COMPONENT_MEMO_SIZE:
-            memo.popitem(last=False)
+            evicted, _ = memo.popitem(last=False)
+            if self.cache is None:
+                # Only the memo held it: promote it again next time a
+                # version values the component.
+                self._promoted_components.discard(evicted)
+
+    def _component_table(
+        self, fingerprint: str, grid, disk: bool = True
+    ) -> Optional[dict[float, float]]:
+        """A component's table from the memo, else (with ``disk``) from
+        the persistent cache, or ``None``."""
+        key = self._component_key(fingerprint, grid)
+        table = self._component_memo.get(key)
+        if table is not None:
+            self._component_memo.move_to_end(key)
+        elif disk and self.cache is not None:
+            table = self.cache.load_component(fingerprint, grid)
+            if table is not None:
+                self._memo_put(key, table)
+                self._promoted_components.add(key)
+        return table
+
+    def _reused_table(
+        self, fingerprint: str, grid, carried: bool
+    ) -> Optional[dict[float, float]]:
+        """One counted lookup of a derived version's candidate: a table
+        carried over from the parent is a hit, as is one found in the
+        memo or (for a touched component) on disk."""
+        table = self._component_table(fingerprint, grid, disk=not carried)
+        self._component_lookups.inc(
+            result="hit" if carried or table else "miss"
+        )
+        return table
 
     def _warm_components(self, extension, grid) -> int:
         """Preload per-component tables from the memo / persistent cache.
@@ -376,15 +498,7 @@ class ReleaseSession:
             by_fingerprint.setdefault(fp, []).append(i)
         tables: dict[int, dict[float, float]] = {}
         for fp, indices in by_fingerprint.items():
-            key = self._component_key(fp, grid)
-            table = self._component_memo.get(key)
-            if table is not None:
-                self._component_memo.move_to_end(key)
-            elif self.cache is not None:
-                table = self.cache.load_component(fp, grid)
-                if table is not None:
-                    self._memo_put(key, table)
-                    self._promoted_components.add(key)
+            table = self._component_table(fp, grid)
             if table:
                 tables.update(dict.fromkeys(indices, table))
                 self._component_lookups.inc(result="hit")
@@ -409,8 +523,10 @@ class ReleaseSession:
         Runs at the same moments as :meth:`_persist_entry` — after a
         shared-extension query, on LRU eviction, and from
         :meth:`persist_warm_extensions` — and is equally idempotent:
-        each (graph, grid) exports once per process, and each component
-        key stores once.  Returns the number of tables promoted.
+        each (graph, grid) exports once while the graph is resident, and
+        each component key stores once (again after the memo evicted a
+        table no disk cache holds).  Returns the number of tables
+        promoted.
         """
         if not self._component_promotion or entry.extension is None:
             return 0
@@ -421,7 +537,7 @@ class ReleaseSession:
             grid,
             self.cache.version if self.cache is not None else __version__,
         )
-        if graph_key in self._promoted_graphs:
+        if graph_key in self._promoted_graphs.get(fingerprint, ()):
             return 0
         promoted = 0
         for fp, table in entry.extension.export_component_tables():
@@ -436,7 +552,7 @@ class ReleaseSession:
             self._promoted_components.add(key)
             self._component_promotions.inc()
             promoted += 1
-        self._promoted_graphs.add(graph_key)
+        self._promoted_graphs.setdefault(fingerprint, set()).add(graph_key)
         return promoted
 
     def _warm_from_disk(self, extension, fingerprint: str, grid) -> bool:

@@ -98,10 +98,14 @@ def serve_edit_stream(
         Lines with an ``edits`` field advance the current graph
         version; all others are release requests against it.
     session:
-        The :class:`ReleaseSession` serving the releases.  Whether it
-        promotes component tables (the incremental path) or rebuilds
-        cold per version never changes the yielded records, only their
-        cost.
+        The :class:`ReleaseSession` serving the releases.  After every
+        applied batch it is handed the batch's lineage
+        (:meth:`ReleaseSession.record_edit`: parent and child
+        fingerprints and the touched component ids, no graph), so a
+        promoting session derives the new version's extension from the
+        parent's on its first miss.  Whether it promotes component
+        tables (the incremental path) or rebuilds cold per version
+        never changes the yielded records, only their cost.
     base_graph:
         Version zero of the evolving graph.
     base_seed:
@@ -143,6 +147,13 @@ def serve_edit_stream(
                 "error_type": type(exc).__name__,
             }
             continue
+        if result.graph is not graph:
+            session.record_edit(
+                graph.fingerprint(),
+                result.graph.fingerprint(),
+                result.touched_old,
+                result.touched_new,
+            )
         graph = result.graph
         server.set_default_graph(graph)
         yield {

@@ -22,11 +22,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.compact import CompactGraph, component_fingerprint
+from repro.graphs.generators import (
+    erdos_renyi_compact,
+    planted_components_compact,
+)
 
 
 def _assert_bit_identical(a: CompactGraph, b: CompactGraph) -> None:
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
+    # The spliced memos equal a scratch build's, in value and dtype.
+    for mine, theirs in zip(
+        (a.component_labels(), *a.edge_arrays()),
+        (b.component_labels(), *b.edge_arrays()),
+    ):
+        assert np.array_equal(mine, theirs)
+        assert mine.dtype == theirs.dtype
     assert a.labels() == b.labels()
     assert a.fingerprint() == b.fingerprint()
     assert a.component_fingerprints() == b.component_fingerprints()
@@ -270,3 +281,99 @@ class TestDifferential:
             for root in set(fps) - result.touched_old:
                 assert new_fps[root] == fps[root]
             graph = result.graph
+
+
+def _touched_reference(before, edges_before, edges_after, n):
+    """``(touched_old, touched_new)`` recomputed from scratch builds."""
+    changed = edges_before ^ edges_after
+    verts = sorted({x for edge in changed for x in edge})
+    after = CompactGraph.from_edges(n, sorted(edges_after))
+    return (
+        frozenset(before.component_labels()[verts].tolist()),
+        frozenset(after.component_labels()[verts].tolist()),
+    )
+
+
+class TestMergeSplitIsolate:
+    """Batches aimed at the label patching: inserts across components
+    merge them, deletes split them, and deleting every edge at a vertex
+    isolates it."""
+
+    @given(st.integers(10, 30), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batches_match_scratch_builds(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = set(
+            data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+        )
+        graph = CompactGraph.from_edges(n, sorted(edges))
+        for _ in range(data.draw(st.integers(1, 6))):
+            labels = graph.component_labels()
+            present = sorted(edges)
+            deletes = set(
+                data.draw(st.lists(st.sampled_from(present), max_size=4))
+                if present
+                else []
+            )
+            if present and data.draw(st.booleans()):
+                lone = data.draw(st.integers(0, n - 1))
+                deletes |= {e for e in present if lone in e}
+            cross = [p for p in pairs if labels[p[0]] != labels[p[1]]]
+            inserts = set(
+                data.draw(st.lists(st.sampled_from(cross), max_size=4))
+                if cross
+                else []
+            )
+            inserts |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+            deletes -= inserts
+            result = graph.apply_edits(
+                inserts=sorted(inserts), deletes=sorted(deletes)
+            )
+            after = (edges | inserts) - deletes
+            assert (result.touched_old, result.touched_new) == (
+                _touched_reference(graph, edges, after, n)
+            )
+            edges = after
+            graph = result.graph
+            _assert_bit_identical(
+                graph, CompactGraph.from_edges(n, sorted(edges))
+            )
+
+
+def test_dust_and_communities_stream_matches_scratch_builds():
+    """A 2,000-vertex contact graph (dust at mean degree 0.35 plus four
+    25-vertex communities) through 50 batches of dust inserts and
+    deletes, with a community insert and delete every fifth batch;
+    every version equals ``from_edge_arrays`` of its edge set."""
+    n, size = 2000, 25
+    rng = np.random.default_rng(7)
+    core = planted_components_compact([size] * 4, 3.0 / size, rng)
+    offset = 4 * size
+    dust = erdos_renyi_compact(n - offset, 0.35 / (n - offset), rng)
+    cu, cv = core.edge_arrays()
+    du, dv = dust.edge_arrays()
+    graph = CompactGraph.from_edge_arrays(
+        n, np.concatenate([cu, du + offset]), np.concatenate([cv, dv + offset])
+    )
+    edges = set(zip(*(a.tolist() for a in graph.edge_arrays())))
+
+    def fresh(low, high):
+        while True:
+            a, b = sorted((low + rng.choice(high - low, 2, replace=False)).tolist())
+            if (a, b) not in edges:
+                return a, b
+
+    for batch in range(50):
+        inserts = [fresh(offset, n) for _ in range(3)]
+        present = sorted(edges)
+        deletes = [present[int(rng.integers(len(present)))]]
+        if batch % 5 == 0:
+            base = batch // 5 % 4 * size
+            inserts.append(fresh(base, base + size))
+            inside = [e for e in present if base <= e[0] and e[1] < base + size]
+            deletes.append(inside[int(rng.integers(len(inside)))])
+        deletes = sorted(set(deletes) - set(inserts))
+        graph = graph.apply_edits(inserts=inserts, deletes=deletes).graph
+        edges = (edges | set(inserts)) - set(deletes)
+        u, v = np.array(sorted(edges), dtype=np.int64).T
+        _assert_bit_identical(graph, CompactGraph.from_edge_arrays(n, u, v))

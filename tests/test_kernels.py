@@ -415,3 +415,27 @@ def test_random_forest_compact_is_forest():
         assert graph.number_of_edges() == n - trees
         u, v = graph.edge_arrays()
         assert kernels.is_forest(n, u, v)
+
+
+@st.composite
+def splices(draw):
+    """An array, ascending drop positions, and ascending insert
+    positions into what the drops leave (repeats allowed)."""
+    n = draw(st.integers(0, 30))
+    array = np.array(draw(st.lists(st.integers(0, 99), min_size=n, max_size=n)), dtype=np.int64)
+    drop = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))) if n else []
+    at = sorted(draw(st.lists(st.integers(0, n - len(drop)), max_size=8)))
+    values = draw(st.lists(st.integers(100, 199), min_size=len(at), max_size=len(at)))
+    return array, np.array(drop, dtype=np.int64), np.array(at, dtype=np.int64), values
+
+
+@given(splices(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_splice_equals_numpy_delete_then_insert(case, as_float):
+    array, drop, at, values = case
+    if as_float:
+        array = array.astype(np.float64)
+    expected = np.insert(np.delete(array, drop), at, values)
+    got = kernels.splice(array, drop, at, values)
+    assert np.array_equal(got, expected)
+    assert got.dtype == expected.dtype
