@@ -73,8 +73,10 @@ from .graphs import (
 # differently (1.2.0: geometric/planted cells now draw from the compact
 # samplers; 1.4.0: the warm-started cutting plane and the seed-master
 # certificate of repro.lp.forest_core; 1.5.0: spanning-tree certificates
-# settle f_Δ = n − 1 before the LP, and f_1 is a double-cover matching).
-__version__ = "1.5.0"
+# settle f_Δ = n − 1 before the LP, and f_1 is a double-cover matching;
+# 1.6.0: the cutting plane runs to its certificate, with no stall exit,
+# half-integral snap or seed-master certificate).
+__version__ = "1.6.0"
 
 from .core import (
     extension_for,

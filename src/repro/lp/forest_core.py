@@ -32,17 +32,19 @@ Evaluators:
   :func:`scipy.sparse.csgraph.maximum_bipartite_matching` call);
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
-* a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
-  separation oracle (:func:`violated_forest_sets`): on a support
-  component whose weights are all 1 each pinned min cut is read off by
-  peeling to the 2-core, with no network; every other pinned min cut of
-  a round runs as one copy of an integer network inside a single
+* a **cutting plane** with the Padberg–Wolsey min-cut separation
+  oracle (:func:`violated_forest_sets`), run until the oracle finds its
+  LP point feasible: on a support component whose weights are all 1
+  each pinned min cut is read off by peeling to the 2-core, with no
+  network; every other pinned min cut of a round runs as one copy of an
+  integer network inside a single
   :func:`scipy.sparse.csgraph.maximum_flow` call, each cut re-checked in
   float, with the float :class:`~repro.flow.maxflow.FlowNetwork` as the
   exact fallback for a pin the integer cut cannot certify;
 * stabilized **column generation** (Dantzig–Wolfe over explicit
-  forests, Kruskal pricing with an array union-find) providing the
-  feasible lower bound and a Lagrangian upper bound.
+  forests, Kruskal pricing with an array union-find), which runs only
+  past the cutting plane's round budget and closes its window from
+  below: a feasible lower bound and a Lagrangian upper bound.
 
 HiGHS runs three ways.  The cutting plane is warm-started: one
 :class:`_HighsModel` per call, each round appending only its newly
@@ -62,34 +64,25 @@ binding (tested with scipy 1.17.1): if it moves, importing this module
 fails.
 
 The combined ``auto`` logic — fast tree DP, the Δ = 1 matching,
-exhaustive up to :data:`EXACT_THRESHOLD` vertices, certified sandwich
-above it with half-integral snapping — lives in :func:`solve_component`.
-Its caller settles ``f_Δ = n − 1`` before the LP where it can: a
-spanning ⌊Δ⌋-tree from :func:`repro.kernels.capped_spanning_tree` or,
-where that declines, Algorithm-3 repair proves it in integers (Lemma
-3.3(4)), so most components whose value is ``n − 1`` never reach this
-module.  Snapping
-assumes the optimum is half-integral (true of every instance the test
-suite solves exactly).  Its controls (:data:`EXACT_THRESHOLD`, 12
-cutting-plane rounds, separation tolerance ``1e-7``, 120
-column-generation iterations) are constants of this module: ``f_Δ``
-depends on ``G`` and ``Δ`` alone, so they only decide how its optimum
-is found.  Every result of :func:`solve_component`, memo hits
-included, is counted in ``repro_lp_certificates_total{status}``
-(:data:`CERTIFICATE_STATUSES`).
+exhaustive up to :data:`EXACT_THRESHOLD` vertices, the cutting plane
+above it — lives in :func:`solve_component`.  Its caller settles
+``f_Δ = n − 1`` before the LP where it can: a spanning ⌊Δ⌋-tree from
+:func:`repro.kernels.capped_spanning_tree` or, where that declines,
+Algorithm-3 repair proves it in integers (Lemma 3.3(4)), so most
+components whose value is ``n − 1`` never reach this module.
 
-The sandwich's cutting plane carries a **seed-master certificate**.
-When its first LP already sits at the whole-vertex-set bound ``n − 1``
-but is not yet feasible, column generation's first master over its seed
-pool is solved once: a mixture of Δ-bounded forests, so a lower bound.
-If it reaches ``n − 1`` within ``1e-7``, the window column generation
-certifies at, ``f_Δ`` is settled as ``exact`` after one round instead
-of after a cutting plane that can only stall at ``n − 1`` (the common
-case on mean-degree-3 giant components at Δ ≥ 4).  The value is the one
-column generation returns after such a stall, which hands it the same
-seed pool and bound and stops at the same master.  Where the skipped
-rounds would instead have reached a feasible LP point, that point's
-value can lie a few ulps above the master's, inside the same window.
+Algorithm 1's sensitivity argument needs ``f_Δ`` itself, so no value
+is rounded to a nearby one.  The cutting plane's round budget (64,
+twice the most rounds seen on the served corpora) only bounds the
+work: past it, column generation closes the window from below,
+``exact`` when the window is at most ``1e-6`` and ``approx`` with the
+window otherwise.  The controls
+(:data:`EXACT_THRESHOLD`, the round budget, separation tolerance
+``1e-7``, 120 column-generation iterations) are constants of this
+module: ``f_Δ`` depends on ``G`` and ``Δ`` alone, so they only decide
+how its optimum is found.  Every result of :func:`solve_component`,
+memo hits included, is counted in ``repro_lp_certificates_total{status}``
+(:data:`CERTIFICATE_STATUSES`).
 
 Any change that can move a bit of an ``f_Δ`` value bumps
 ``repro.__version__``: the version is the only code coordinate of the
@@ -136,18 +129,15 @@ EXACT_THRESHOLD = 13
 """Components up to this many vertices are solved with the exhaustive
 (exact) formulation in ``auto`` mode."""
 
-_CUTTING_PLANE_ROUNDS = 12
+_CUTTING_PLANE_ROUNDS = 64
 _SEPARATION_TOLERANCE = 1e-7
 _CG_MAX_ITERATIONS = 120
-_STALL_ROUNDS = 3
-_SNAP_WINDOW = 0.5 - 1e-6
 _GAP_TOLERANCE = 1e-7
 _SMOOTHING = 0.6
 
 
 class ForestLPError(RuntimeError):
-    """Raised when an LP evaluation fails to converge or the inner solver
-    reports a failure."""
+    """Raised when the inner LP solver reports a failure."""
 
 
 class CoreLPResult(NamedTuple):
@@ -167,12 +157,11 @@ class CoreLPResult(NamedTuple):
     status: str
 
 
-CERTIFICATE_STATUSES = ("exact", "snapped", "approx", "outer-bound")
+CERTIFICATE_STATUSES = ("exact", "approx", "outer-bound")
 """Every :attr:`CoreLPResult.status`: ``exact`` (a certified optimum),
-``snapped`` (a window narrower than 1/2 snapped to its one half-integer,
-which assumes a half-integral optimum), ``approx`` (only ``[value,
-value + gap]`` is certified) and ``outer-bound`` (a cutting-plane upper
-bound ``gap`` with ``value = 0``)."""
+``approx`` (only ``[value, value + gap]`` is certified) and
+``outer-bound`` (a cutting-plane upper bound ``gap`` with
+``value = 0``)."""
 
 
 def _as_edge_arrays(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -352,11 +341,11 @@ def solve_component(
 
     Strategy: tree DP when the component is a tree and Δ is integral;
     the double-cover matching at Δ = 1; exhaustive exact up to
-    :data:`EXACT_THRESHOLD` vertices; otherwise a certified sandwich
-    (cutting-plane outer bound, column-generation inner bound,
-    half-integral snap).  ``use_fast_paths=False`` disables the tree DP
-    and matching shortcuts so differential tests can compare them
-    against a genuinely independent LP evaluation.
+    :data:`EXACT_THRESHOLD` vertices; otherwise the cutting plane until
+    the oracle certifies its LP point, with column generation closing
+    the window only past the round budget.  ``use_fast_paths=False``
+    disables the tree DP and matching shortcuts so differential tests
+    can compare them against a genuinely independent LP evaluation.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -413,11 +402,10 @@ def _solve_component_uncached(
 ) -> CoreLPResult:
     """The ``auto`` strategy of :func:`solve_component`, unmemoized.
 
-    Above :data:`EXACT_THRESHOLD` the non-strict cutting plane runs
-    first; it returns ``exact`` when the oracle finds its LP point
-    feasible or when the seed-master certificate settles ``f_Δ = n − 1``
-    after round 1.  Otherwise its last LP value is an outer bound, and
-    column generation closes the window from below or snaps it.
+    Above :data:`EXACT_THRESHOLD` the cutting plane returns ``exact``
+    once the oracle finds its LP point feasible.  Past its round budget
+    its last LP value is an outer bound, and column generation closes
+    the window from below: ``exact`` within ``1e-6``, else ``approx``.
     """
     if (
         use_fast_paths
@@ -432,49 +420,23 @@ def _solve_component_uncached(
         return exhaustive_component_value(n, u, v, delta)
 
     outer = cutting_plane_component(
-        n, u, v, delta, _SEPARATION_TOLERANCE, _CUTTING_PLANE_ROUNDS, strict=False
+        n, u, v, delta, _SEPARATION_TOLERANCE, _CUTTING_PLANE_ROUNDS
     )
-    if outer.gap == 0.0:
+    if outer.status == "exact":
         return outer
-    upper = outer.value + outer.gap
 
     with telemetry.span("lp.colgen"):
         cg = column_generation_component(
-            n,
-            u,
-            v,
-            delta,
-            max_iterations=_CG_MAX_ITERATIONS,
-            external_upper_bound=upper,
-            snap_half_integral=True,
+            n, u, v, delta, external_upper_bound=outer.gap
         )
-    upper = min(upper, cg.value + cg.gap)
+    upper = min(outer.gap, cg.value + cg.gap)
     lower = min(max(cg.value, 0.0), target)
     rounds = outer.lp_rounds + cg.lp_rounds
     added = outer.constraints_added + cg.constraints_added
     gap = max(upper - lower, 0.0)
     if gap <= 1e-6:
         return CoreLPResult(lower, cg.x, rounds, added, 0.0, "exact")
-    snapped = _unique_half_integer(lower, upper)
-    if snapped is not None:
-        return CoreLPResult(
-            min(snapped, target), cg.x, rounds, added, 0.0, "snapped"
-        )
     return CoreLPResult(lower, cg.x, rounds, added, gap, "approx")
-
-
-def _unique_half_integer(lower: float, upper: float) -> Optional[float]:
-    """Return the unique multiple of 1/2 in ``[lower − ε, upper + ε]`` if
-    the window is narrower than 1/2, else ``None``."""
-    if upper - lower >= _SNAP_WINDOW:
-        return None
-    eps = 1e-6
-    first = np.ceil((lower - eps) * 2.0) / 2.0
-    if first <= upper + eps:
-        second = first + 0.5
-        if second > upper + eps:
-            return float(first)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -1083,7 +1045,7 @@ def _float_pinned_cut(
 
 
 # ----------------------------------------------------------------------
-# Cutting-plane loop (outer bound / strict exact)
+# Cutting-plane loop
 # ----------------------------------------------------------------------
 def cutting_plane_component(
     n: int,
@@ -1092,24 +1054,15 @@ def cutting_plane_component(
     delta: float,
     separation_tolerance: float,
     max_rounds: int,
-    strict: bool,
 ) -> CoreLPResult:
     """Lazy-constraint loop over the canonical arrays.
 
     One HiGHS model per call: ``m`` columns in ``[0, 1]``, the ``n``
     degree rows and the whole-vertex-set row.  Each round appends only
     the newly violated forest rows and re-solves from the previous
-    basis.  Oracle-certified feasibility gives an exact result; a
-    stalled objective or the round cap returns ``value = 0`` with
-    ``gap`` set to the last LP value (a pure outer bound for ``auto`` to
-    refine), or raises when ``strict``.
-
-    Unless ``strict``, a first-round LP value within ``1e-9`` of
-    ``n − 1`` that the oracle still cuts off runs the seed-master
-    certificate (:func:`_seed_master_certificate`, one cold master
-    inside an ``lp.colgen`` span): if it reaches ``n − 1``, the result
-    is ``exact`` with its value and forest mixture, else the loop goes
-    on unchanged.  The strict loop is the reference and never runs it.
+    basis.  Oracle-certified feasibility gives an ``exact`` result.
+    Past ``max_rounds`` the result is an ``outer-bound``: ``value = 0``
+    and ``gap`` the last LP value capped at ``n − 1``.
     """
     u, v = _as_edge_arrays(u, v)
     m = u.size
@@ -1126,8 +1079,7 @@ def cutting_plane_component(
 
     in_model = {whole}
     total_added = 0
-    last_value = float("inf")
-    stall = 0
+    lp_value = target
     for round_number in range(1, max_rounds + 1):
         solution = model.solve()
         lp_value = -float(solution.fun)
@@ -1142,66 +1094,12 @@ def cutting_plane_component(
             return CoreLPResult(
                 value, x, round_number, total_added, 0.0, "exact"
             )
-        if round_number == 1 and not strict and lp_value >= target - 1e-9:
-            certified = _seed_master_certificate(n, u, v, delta)
-            if certified is not None:
-                return certified
-        if lp_value >= last_value - 1e-9:
-            stall += 1
-            if stall >= _STALL_ROUNDS and not strict:
-                return CoreLPResult(
-                    0.0,
-                    np.zeros(m),
-                    round_number,
-                    total_added,
-                    min(lp_value, target),
-                    "outer-bound",
-                )
-        else:
-            stall = 0
-        last_value = lp_value
         in_model.update(new_sets)
         model.add_rows(*_forest_rows(new_sets, u, v, n))
         total_added += len(new_sets)
-    if strict:
-        raise ForestLPError(
-            f"cutting-plane loop did not converge within {max_rounds} rounds "
-            f"(n={n}, m={m}, delta={delta})"
-        )
     return CoreLPResult(
         0.0, np.zeros(m), max_rounds, total_added,
-        min(last_value, target), "outer-bound",
-    )
-
-
-def _seed_master_certificate(
-    n: int, u: np.ndarray, v: np.ndarray, delta: float
-) -> Optional[CoreLPResult]:
-    """Certify ``f_Δ = n − 1`` from column generation's seed master.
-
-    Called when the first cutting-plane LP already sits at the
-    whole-vertex-set bound ``n − 1`` but is not yet feasible.  The
-    master over the seed pool (one iteration, external bound ``n − 1``)
-    is a feasible mixture of Δ-bounded forests, so its value is a lower
-    bound; if it is within :data:`_GAP_TOLERANCE` of ``n − 1`` — the
-    window column generation certifies at — the optimum is settled.
-    Returns ``None`` otherwise, and the cutting plane goes on.
-    """
-    target = float(n - 1)
-    with telemetry.span("lp.colgen"):
-        cg = column_generation_component(
-            n, u, v, delta, max_iterations=1, external_upper_bound=target
-        )
-    if cg.value < target - _GAP_TOLERANCE:
-        return None
-    # lp_rounds: the cutting plane's first round plus the master.
-    return CoreLPResult(
-        min(max(cg.value, 0.0), target),
-        cg.x,
-        1 + cg.lp_rounds,
-        cg.constraints_added,
-        0.0,
-        "exact",
+        min(lp_value, target), "outer-bound",
     )
 
 
@@ -1281,11 +1179,8 @@ def column_generation_component(
     v: np.ndarray,
     delta: float,
     *,
-    max_iterations: int = 120,
-    tolerance: float = _GAP_TOLERANCE,
+    max_iterations: int = _CG_MAX_ITERATIONS,
     external_upper_bound: Optional[float] = None,
-    snap_half_integral: bool = False,
-    seed: int = 0,
 ) -> CoreLPResult:
     """Stabilized column generation on the canonical arrays.
 
@@ -1302,7 +1197,7 @@ def column_generation_component(
     if m == 0:
         return CoreLPResult(0.0, np.zeros(0), 0, 0, 0.0, "exact")
     target = float(n - 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     columns: list[list[int]] = []
     seen: set[frozenset[int]] = set()
@@ -1354,13 +1249,9 @@ def column_generation_component(
                 extra, _ = kernels.max_weight_forest(n, u, v, perturbed)
                 improved |= _add_column(extra, seen, columns)
         gap = max(best_upper - lower, 0.0)
-        if gap <= tolerance:
+        if gap <= _GAP_TOLERANCE:
             return CoreLPResult(
                 lower, best_solution[1], iteration, len(columns), 0.0, "exact"
-            )
-        if snap_half_integral and _unique_half_integer(lower, best_upper) is not None:
-            return CoreLPResult(
-                lower, best_solution[1], iteration, len(columns), gap, "approx"
             )
         if not improved:
             # No new columns at either dual point: the master is optimal

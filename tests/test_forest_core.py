@@ -20,11 +20,11 @@ from repro.lp import forest_core
 from .strategies import connected_components, graph_arrays
 
 # G(15, 0.26) drawn with seed 57.  At Δ = 2 the first cutting-plane LP
-# is 14 = n − 1, the seed master falls short of it, and round 2
-# certifies f_2 = 14 exactly; capped at one round (the
-# ``one_cutting_plane_round`` fixture) it leaves column generation a
-# window that snaps to 14, the value the exhaustive LP gives.
-SNAPPED_COMPONENT = (
+# is 14, the whole-set bound n − 1, and round 2 certifies f_2 = 14.
+# Past a budget of one round (the ``one_round_budget`` fixture) column
+# generation certifies 14; its first master alone leaves the window
+# [13.5, 14].
+AT_BOUND_COMPONENT = (
     15,
     np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 4, 5,
               5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 8, 10, 10, 10, 11]),
@@ -34,16 +34,16 @@ SNAPPED_COMPONENT = (
 
 # A connected G(14, 18).  At Δ = 2 the first cutting-plane LP is 12,
 # below the whole-set bound n − 1 = 13, and round 2 certifies f_2 = 12;
-# at Δ = 4 the first LP is 13 and the seed-master certificate settles it.
+# at Δ = 4 the first LP is 13 and round 2 certifies it.
 BELOW_BOUND_COMPONENT = (
     14,
     np.array([0, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 7, 9, 9, 10]),
     np.array([1, 3, 5, 9, 10, 12, 8, 10, 4, 6, 8, 6, 7, 10, 8, 11, 12, 13]),
 )
 
-# A connected G(19, 36).  At Δ = 3 the first cutting-plane LP is 18 =
-# n − 1, the seed master falls short of it, and the cutting plane stalls
-# at 18: an outer bound after four rounds.
+# A connected G(19, 36).  At Δ = 3 every cutting-plane LP is 18 = n − 1:
+# the objective stalls while rounds 1–4 add cuts, and round 5 certifies
+# f_3 = 18.
 STALLING_COMPONENT = (
     19,
     np.array([0, 0, 0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4,
@@ -53,33 +53,33 @@ STALLING_COMPONENT = (
               16, 17]),
 )
 
+# The 44-vertex, 70-edge giant component of layerbench giant-lp seed 4,
+# graph 7, as the extension hands it to the LP.  Its f_2 is 239/6, not
+# a half-integer: the cutting plane certifies it in two rounds, and a
+# window left open past the round budget must hold it.
+NON_HALF_INTEGRAL_COMPONENT = (
+    44,
+    np.array([0, 0, 1, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 4, 4, 5, 5, 5, 5, 5,
+              5, 5, 6, 7, 7, 8, 8, 8, 9, 9, 9, 9, 10, 11, 11, 11, 12, 12, 13,
+              13, 13, 14, 15, 15, 16, 17, 17, 18, 19, 19, 21, 21, 21, 22, 22,
+              23, 24, 26, 27, 28, 28, 28, 30, 30, 31, 31, 32, 34, 36, 37]),
+    np.array([25, 41, 2, 8, 12, 24, 31, 34, 22, 25, 38, 40, 42, 15, 27, 6,
+              15, 28, 32, 37, 38, 41, 9, 27, 33, 13, 14, 33, 11, 20, 21, 25,
+              27, 12, 19, 35, 27, 33, 17, 24, 27, 43, 17, 23, 25, 18, 28, 32,
+              26, 35, 31, 35, 37, 27, 40, 39, 27, 29, 36, 34, 39, 43, 31, 39,
+              35, 41, 40, 43, 40, 38]),
+)
+
 
 @pytest.fixture
-def one_cutting_plane_round(monkeypatch):
+def one_round_budget(monkeypatch):
     """Cap ``solve_component``'s cutting plane at one round, so column
-    generation settles the sandwich.  The memo key does not carry the
-    cap, so every memoized solve is dropped before and after."""
+    generation closes the window past the budget.  The memo key does
+    not carry the cap, so every memoized solve is dropped before and
+    after."""
     forest_core.clear_solve_cache()
     monkeypatch.setattr(forest_core, "_CUTTING_PLANE_ROUNDS", 1)
     yield
-    forest_core.clear_solve_cache()
-
-
-@pytest.fixture
-def certificate_attempts(monkeypatch):
-    """Record the result of every seed-master certificate attempt
-    (``None`` when declined).  A memo hit makes no attempt, so every
-    memoized solve is dropped before and after."""
-    forest_core.clear_solve_cache()
-    attempts = []
-    certify = forest_core._seed_master_certificate
-
-    def record(*args):
-        attempts.append(certify(*args))
-        return attempts[-1]
-
-    monkeypatch.setattr(forest_core, "_seed_master_certificate", record)
-    yield attempts
     forest_core.clear_solve_cache()
 
 
@@ -137,7 +137,7 @@ class TestSolveComponent:
         assert core.value == pytest.approx(reference.value, abs=1e-6)
 
     def test_large_component_certified(self):
-        g = complete_graph(16)  # above EXACT_THRESHOLD: sandwich path
+        g = complete_graph(16)  # above EXACT_THRESHOLD: cutting plane
         count, u, v = graph_arrays(g)
         core = forest_core.solve_component(count, u, v, 2)
         # f_2(K_16): a Hamiltonian path achieves n-1 = 15 with max degree 2.
@@ -170,20 +170,20 @@ class TestCuttingPlane:
     def test_matches_exhaustive_small(self):
         g = complete_graph(5)
         count, u, v = graph_arrays(g)
-        cp = forest_core.cutting_plane_component(
-            count, u, v, 2, 1e-7, 60, strict=True
-        )
+        cp = forest_core.cutting_plane_component(count, u, v, 2, 1e-7, 60)
         exact = forest_core.exhaustive_component_value(count, u, v, 2)
+        assert cp.status == "exact"
         assert cp.value == pytest.approx(exact.value, abs=1e-6)
         assert cp.gap == 0.0
 
-    def test_strict_raises_on_tiny_round_cap(self):
+    def test_round_cap_returns_the_last_lp_value_as_an_outer_bound(self):
         g = complete_graph(6)
         count, u, v = graph_arrays(g)
-        with pytest.raises(forest_core.ForestLPError, match="did not converge"):
-            forest_core.cutting_plane_component(
-                count, u, v, 2, 1e-7, 1, strict=True
-            )
+        result = forest_core.cutting_plane_component(count, u, v, 2, 1e-7, 1)
+        assert result.status == "outer-bound" and result.lp_rounds == 1
+        assert result.value == 0.0 and not result.x.any()
+        # The first LP sits at the whole-set bound n − 1 = 5.
+        assert result.gap == 5.0
 
 
 class TestColumnGenerationCore:
@@ -229,30 +229,21 @@ class TestCertificateCounter:
         after = self._counts()
         assert after["exact"] == before["exact"] + 2
         assert {s: after[s] - before[s] for s in after if s != "exact"} == {
-            "snapped": 0, "approx": 0, "outer-bound": 0
+            "approx": 0, "outer-bound": 0
         }
 
-    def test_snapped_solve_counts_snapped(self, one_cutting_plane_round):
-        before = self._counts()
-        result = forest_core.solve_component(*SNAPPED_COMPONENT, 2)
-        assert result.status == "snapped"
-        assert self._counts()["snapped"] == before["snapped"] + 1
-        exact = forest_core.exhaustive_component_value(*SNAPPED_COMPONENT, 2)
-        assert result.value == pytest.approx(exact.value, abs=1e-6)
-
-    def test_labels_are_the_four_statuses(self, one_cutting_plane_round):
+    def test_labels_are_the_three_statuses(self):
         assert forest_core.CERTIFICATE_STATUSES == (
-            "exact", "snapped", "approx", "outer-bound"
+            "exact", "approx", "outer-bound"
         )
         count, u, v = graph_arrays(complete_graph(6))
         produced = {
             forest_core.exhaustive_component_value(count, u, v, 2).status,
-            forest_core.solve_component(*SNAPPED_COMPONENT, 2).status,
             forest_core.column_generation_component(
-                *SNAPPED_COMPONENT, 2, max_iterations=1
+                *AT_BOUND_COMPONENT, 2, max_iterations=1
             ).status,
             forest_core.cutting_plane_component(
-                *BELOW_BOUND_COMPONENT, 2, 1e-7, 1, strict=False
+                *BELOW_BOUND_COMPONENT, 2, 1e-7, 1
             ).status,
         }
         assert produced == set(forest_core.CERTIFICATE_STATUSES)
@@ -263,8 +254,8 @@ class TestCertificateCounter:
 
 def _connected_gnm_corpus(seed: int, per_size: int):
     """Connected G(n, m) graphs with n in {14, 15, 16} (just above
-    ``EXACT_THRESHOLD``, so ``solve_component`` takes the certified
-    sandwich) and m drawn from [1.2n, 2.2n), as canonical arrays."""
+    ``EXACT_THRESHOLD``, so ``solve_component`` takes the cutting
+    plane) and m drawn from [1.2n, 2.2n), as canonical arrays."""
     rng = np.random.default_rng(seed)
     corpus = []
     for n in (14, 15, 16):
@@ -282,27 +273,53 @@ def _connected_gnm_corpus(seed: int, per_size: int):
     return corpus
 
 
-class TestSnappedAgainstExhaustive:
-    def test_snapped_values_equal_the_exhaustive_lp(
-        self, one_cutting_plane_round
-    ):
-        """``snapped`` rests on the half-integrality assumption, so check
-        each snapped value against the LP with every forest constraint
-        materialized, on a corpus small enough to enumerate (n <= 16).
-        One cutting-plane round leaves the sandwich to column
-        generation, whose windows snap; the default path mostly
-        certifies these graphs exactly."""
+class TestCorpusAgainstExhaustive:
+    """Every value ``solve_component`` returns above ``EXACT_THRESHOLD``
+    is certified, so check it against the LP with every forest
+    constraint materialized, on a corpus small enough to enumerate
+    (n <= 16)."""
+
+    def test_default_budget_values_equal_the_exhaustive_lp(self):
         assert forest_core.EXACT_THRESHOLD < 14
-        snapped = []
+        forest_core.clear_solve_cache()
         for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
             for delta in (1, 2, 3):
                 result = forest_core.solve_component(count, u, v, delta)
-                if result.status == "snapped":
-                    snapped.append((count, u, v, delta, result.value))
-        assert len(snapped) >= 5, "the corpus no longer exercises snapping"
-        for count, u, v, delta, value in snapped:
-            exact = forest_core.exhaustive_component_value(count, u, v, delta)
-            assert value == pytest.approx(exact.value, abs=1e-6), (count, delta)
+                exact = forest_core.exhaustive_component_value(count, u, v, delta)
+                assert result.status == "exact" and result.gap == 0.0
+                assert abs(result.value - exact.value) <= 1e-9, (count, delta)
+                # ``x`` is a feasible point of that value.
+                degree = np.bincount(u, result.x, count) + np.bincount(
+                    v, result.x, count
+                )
+                assert degree.max() <= delta + 1e-9
+                assert forest_core.violated_forest_sets(count, u, v, result.x) == []
+                assert result.x.sum() == pytest.approx(result.value, abs=1e-9)
+
+    def test_windows_past_the_budget_hold_the_exhaustive_lp(
+        self, monkeypatch, one_round_budget
+    ):
+        """One cutting-plane round leaves most of the corpus to column
+        generation, whose window must hold the optimum as it stands."""
+        windows = []
+        column_generation = forest_core.column_generation_component
+
+        def record(*args, **kwargs):
+            windows.append(column_generation(*args, **kwargs))
+            return windows[-1]
+
+        monkeypatch.setattr(forest_core, "column_generation_component", record)
+        for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
+            for delta in (1, 2, 3):
+                result = forest_core.solve_component(count, u, v, delta)
+                exact = forest_core.exhaustive_component_value(count, u, v, delta)
+                assert result.status in ("exact", "approx")
+                assert (
+                    result.value - 1e-9
+                    <= exact.value
+                    <= result.value + result.gap + 1e-9
+                ), (count, delta)
+        assert len(windows) >= 5, "the corpus no longer exercises column generation"
 
 
 def _giant_component_corpus(seed: int, count: int):
@@ -321,87 +338,22 @@ def _giant_component_corpus(seed: int, count: int):
     return corpus
 
 
-def _certified_solve(attempts, *args):
-    """``solve_component(*args)`` and whether its seed-master
-    certificate settled it (``attempts``: the fixture's record)."""
-    before = len(attempts)
-    result = forest_core.solve_component(*args)
-    return result, len(attempts) > before and attempts[-1] is not None
+class TestNonHalfIntegralOptimum:
+    """``f_2`` of ``NON_HALF_INTEGRAL_COMPONENT`` is 239/6: no value may
+    stand in for it, wherever the cutting plane stops."""
 
-
-class TestSeedMasterCertificate:
-    """A first cutting-plane LP at ``n − 1`` that is not yet feasible
-    asks column generation's seed master for ``n − 1`` before a second
-    round."""
-
-    def test_values_match_the_path_the_certificate_skips(
-        self, monkeypatch, certificate_attempts
-    ):
-        """A stalled cutting plane hands column generation the seed pool
-        and the bound the certificate uses, and it stops at the same
-        first master, so the value is the skipped path's bit for bit.
-        Where the skipped rounds would have certified in the cutting
-        plane instead, the LP optimum found there may sit a few ulps
-        above the master's feasible value, inside the certified window
-        (seed 4's first graph at Δ = 4: 46 against 46 − 9.9e-14)."""
-        solves = [
-            (component, delta)
-            for component in _giant_component_corpus(seed=4, count=12)
-            for delta in (1, 2, 4, 8)
-        ]
-        certified = [
-            _certified_solve(certificate_attempts, *component, delta)
-            for component, delta in solves
-        ]
-        assert sum(settled for _, settled in certified) >= 10, (
-            "the corpus no longer exercises the certificate"
-        )
-
+    def test_default_budget_certifies_it(self):
         forest_core.clear_solve_cache()
-        monkeypatch.setattr(
-            forest_core, "_seed_master_certificate", lambda *args: None
-        )
-        sandwiches = []
-        column_generation = forest_core.column_generation_component
+        result = forest_core.solve_component(*NON_HALF_INTEGRAL_COMPONENT, 2)
+        assert result.status == "exact" and result.gap == 0.0
+        assert abs(result.value - 239 / 6) <= 1e-9
 
-        def record(*args, **kwargs):
-            sandwiches.append(args)
-            return column_generation(*args, **kwargs)
-
-        monkeypatch.setattr(forest_core, "column_generation_component", record)
-        for (component, delta), (result, settled) in zip(solves, certified):
-            before = len(sandwiches)
-            skipped = forest_core.solve_component(*component, delta)
-            assert result.status == skipped.status
-            if settled and len(sandwiches) == before:
-                gap = skipped.value - result.value
-                assert 0.0 <= gap <= forest_core._GAP_TOLERANCE
-            else:
-                assert result.value.hex() == skipped.value.hex(), (
-                    component[0], delta
-                )
-
-    def test_certified_values_equal_the_exhaustive_lp(
-        self, certificate_attempts
-    ):
-        certified = []
-        for count, u, v in _connected_gnm_corpus(seed=3, per_size=10):
-            for delta in (1, 2, 3):
-                result, settled = _certified_solve(
-                    certificate_attempts, count, u, v, delta
-                )
-                if settled:
-                    certified.append((count, u, v, delta, result))
-        assert len(certified) >= 5, "the corpus no longer exercises the certificate"
-        for count, u, v, delta, result in certified:
-            exact = forest_core.exhaustive_component_value(count, u, v, delta)
-            assert abs(result.value - exact.value) <= 1e-9, (count, delta)
-            # ``x`` is the seed master's forest mixture: feasible, of
-            # that value.
-            degree = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
-            assert degree.max() <= delta + 1e-9
-            assert forest_core.violated_forest_sets(count, u, v, result.x) == []
-            assert result.x.sum() == pytest.approx(result.value, abs=1e-9)
+    def test_window_past_the_budget_holds_it(self, one_round_budget):
+        result = forest_core.solve_component(*NON_HALF_INTEGRAL_COMPONENT, 2)
+        assert result.status in ("exact", "approx")
+        # The window in solver floats: column generation's master value
+        # may sit a few ulps above the optimum it certifies.
+        assert result.value - 1e-9 <= 239 / 6 <= result.value + result.gap + 1e-9
 
 
 class TestMatchingFastPath:
@@ -461,14 +413,14 @@ class TestHighsModel:
     the exhaustive LP still goes through ``linprog``."""
 
     def test_cutting_plane_and_column_generation_skip_linprog(
-        self, monkeypatch, one_cutting_plane_round
+        self, monkeypatch, one_round_budget
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("linprog called")
 
         monkeypatch.setattr(forest_core, "linprog", refuse)
-        count, u, v = SNAPPED_COMPONENT
-        cp = forest_core.cutting_plane_component(count, u, v, 2, 1e-7, 60, strict=True)
+        count, u, v = AT_BOUND_COMPONENT
+        cp = forest_core.cutting_plane_component(count, u, v, 2, 1e-7, 60)
         cg = forest_core.column_generation_component(count, u, v, 2)
         assert cp.status == "exact"
         assert cg.value <= cp.value + 1e-9
@@ -493,47 +445,52 @@ class TestHighsModel:
         return built, solved
 
     @pytest.mark.parametrize(
-        "component, delta, max_rounds, declined",
+        "component, delta, max_rounds, status",
         [
-            (BELOW_BOUND_COMPONENT, 2, 60, 0),  # exact in 2 rounds
-            (BELOW_BOUND_COMPONENT, 2, 1, 0),  # round cap: last rows appended
-            (SNAPPED_COMPONENT, 2, 60, 1),  # master short, exact in 2 rounds
-            (STALLING_COMPONENT, 3, 60, 1),  # master short, stalls: outer bound
-            (STALLING_COMPONENT, 3, 2, 1),  # master short, round cap
+            (BELOW_BOUND_COMPONENT, 2, 60, "exact"),  # in 2 rounds
+            (BELOW_BOUND_COMPONENT, 2, 1, "outer-bound"),  # last rows appended
+            (AT_BOUND_COMPONENT, 2, 60, "exact"),  # in 2 rounds
+            (STALLING_COMPONENT, 3, 60, "exact"),  # in 5 rounds
+            (STALLING_COMPONENT, 3, 2, "outer-bound"),  # round cap
         ],
     )
     def test_one_model_per_call_with_rows_appended(
-        self, models, component, delta, max_rounds, declined
+        self, models, component, delta, max_rounds, status
     ):
-        """One warm cutting-plane model per call; a first LP at ``n − 1``
-        adds the seed master's cold model, solved once after round 1."""
+        """One warm cutting-plane model per call, solved once a round."""
         built, solved = models
         count, u, v = component
         result = forest_core.cutting_plane_component(
-            count, u, v, delta, 1e-7, max_rounds, strict=False
+            count, u, v, delta, 1e-7, max_rounds
         )
-        plane, *masters = built
-        assert len(masters) == declined
-        assert solved == [plane, *masters] + [plane] * (result.lp_rounds - 1)
+        assert result.status == status
+        (plane,) = built
+        assert solved == [plane] * result.lp_rounds
         rows = plane._highs.getNumRow()
         assert rows == count + 1 + result.constraints_added
 
     @pytest.mark.parametrize(
-        "component, delta",
-        [(BELOW_BOUND_COMPONENT, 4), (graph_arrays(complete_graph(14)), 2)],
+        "component, delta, rounds",
+        [
+            (BELOW_BOUND_COMPONENT, 4, 2),
+            (graph_arrays(complete_graph(14)), 2, 4),
+            (STALLING_COMPONENT, 3, 5),
+        ],
     )
-    def test_certificate_solves_one_round_and_one_master(
-        self, models, component, delta
+    def test_whole_set_bound_is_certified_by_the_plane_alone(
+        self, models, component, delta, rounds
     ):
+        """A first LP at ``n − 1`` runs the same loop as any other:
+        rounds of cuts on the one model until the oracle passes."""
         built, solved = models
         count, u, v = component
         result = forest_core.cutting_plane_component(
-            count, u, v, delta, 1e-7, 60, strict=False
+            count, u, v, delta, 1e-7, 60
         )
         assert result.status == "exact" and result.value == count - 1
-        plane, master = built
-        assert solved == [plane, master]
-        assert plane._highs.getNumRow() == count + 1
+        assert result.lp_rounds == rounds
+        (plane,) = built
+        assert solved == [plane] * rounds
 
     def test_master_solves_match_linprog_bit_for_bit(self, monkeypatch):
         problems = []
@@ -562,12 +519,13 @@ class TestHighsModel:
 
     @given(connected_components(), st.sampled_from([1, 1.5, 2, 3]))
     @settings(max_examples=60)
-    def test_strict_cutting_plane_equals_exhaustive(self, component, delta):
+    def test_cutting_plane_equals_exhaustive(self, component, delta):
         count, u, v = component
         result = forest_core.cutting_plane_component(
-            count, u, v, delta, 1e-7, 60, strict=True
+            count, u, v, delta, 1e-7, 60
         )
         exact = forest_core.exhaustive_component_value(count, u, v, delta)
+        assert result.status == "exact"
         assert abs(result.value - exact.value) <= 1e-9
         degree = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
         assert degree.max() <= delta + 1e-9
@@ -597,7 +555,8 @@ class TestHighsModel:
 
 class TestLPSpans:
     """``lp.solve`` splits into ``lp.highs`` (each HiGHS run),
-    ``lp.separation`` (each oracle call) and ``lp.colgen``."""
+    ``lp.separation`` (each oracle call) and ``lp.colgen`` (column
+    generation past the round budget)."""
 
     @staticmethod
     def _traced(*args, **kwargs):
@@ -612,7 +571,6 @@ class TestLPSpans:
         return result, solve, children
 
     def test_cutting_plane_solve_records_one_highs_span_per_round(self):
-        # The first LP (12) stays below n − 1 = 13: no certificate attempt.
         result, solve, children = self._traced(*BELOW_BOUND_COMPONENT, 2)
         names = [s.name for s in children(solve)]
         assert result.status == "exact" and result.lp_rounds == 2
@@ -620,24 +578,24 @@ class TestLPSpans:
         assert names.count("lp.separation") == result.lp_rounds
         assert "lp.colgen" not in names
 
-    def test_column_generation_span_holds_the_master_solves(
-        self, one_cutting_plane_round
-    ):
-        result, solve, children = self._traced(*SNAPPED_COMPONENT, 2)
-        names = [s.name for s in children(solve)]
-        assert names.count("lp.highs") == names.count("lp.separation") == 1
-        # The declined seed-master certificate, then the sandwich.
-        certificate, colgen = [s for s in children(solve) if s.name == "lp.colgen"]
-        assert [s.name for s in children(certificate)] == ["lp.highs"]
-        masters = [s.name for s in children(colgen)]
-        assert masters and set(masters) == {"lp.highs"}
-        assert len(masters) >= result.lp_rounds - 1
-
-    def test_certified_solve_records_one_round_and_the_seed_master(self):
+    def test_whole_set_bound_solve_records_only_cutting_plane_rounds(self):
+        # The first LP sits at n − 1 = 13; round 2 certifies it.
         result, solve, children = self._traced(*BELOW_BOUND_COMPONENT, 4)
         assert result.status == "exact" and result.value == 13.0
+        assert [s.name for s in children(solve)] == [
+            "lp.highs", "lp.separation"
+        ] * 2
+
+    def test_column_generation_span_holds_the_master_solves(
+        self, one_round_budget
+    ):
+        result, solve, children = self._traced(*AT_BOUND_COMPONENT, 2)
+        assert result.status == "exact" and result.value == 14.0
+        # One cutting-plane round, then column generation.
         assert [s.name for s in children(solve)] == [
             "lp.highs", "lp.separation", "lp.colgen"
         ]
         (colgen,) = [s for s in children(solve) if s.name == "lp.colgen"]
-        assert [s.name for s in children(colgen)] == ["lp.highs"]
+        masters = [s.name for s in children(colgen)]
+        assert masters and set(masters) == {"lp.highs"}
+        assert len(masters) >= result.lp_rounds - 1

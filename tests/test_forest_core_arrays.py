@@ -162,9 +162,7 @@ class TestSameArrays:
     def test_cutting_plane_rows_and_flows_on_the_giant_corpus(self, delta):
         with _Recorder() as recorder:
             for n, u, v in GIANT_CORPUS:
-                forest_core.cutting_plane_component(
-                    n, u, v, delta, 1e-7, 12, strict=False
-                )
+                forest_core.cutting_plane_component(n, u, v, delta, 1e-7, 12)
         assert recorder.rows >= 5
         assert recorder.networks == recorder.reaches >= 5
 

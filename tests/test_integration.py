@@ -51,12 +51,12 @@ class TestExtensionImplementationsAgree:
             g,
             lambda n, u, v: forest_core.exhaustive_component_value(n, u, v, delta),
         )
-        cutting, _ = _component_sum(
-            g,
-            lambda n, u, v: forest_core.cutting_plane_component(
-                n, u, v, delta, 1e-7, 200, strict=True
-            ),
-        )
+        results = [
+            forest_core.cutting_plane_component(n, u, v, delta, 1e-7, 200)
+            for n, u, v in canonical_components(g)
+        ]
+        assert all(result.status == "exact" for result in results)
+        cutting = sum(result.value for result in results)
         auto = evaluate_lipschitz_extension(g, delta)
         assert cutting == pytest.approx(exhaustive, abs=1e-5)
         assert auto == pytest.approx(exhaustive, abs=1e-5)
@@ -154,8 +154,8 @@ class TestFullPipeline:
 class TestApproximateRegime:
     def test_gap_is_certified_and_propagates(self, rng):
         """Force the approximate path with a tiny iteration budget (column
-        generation alone, unsnapped) and check the contract: value is a
-        lower bound within gap of any exact evaluation."""
+        generation alone) and check the contract: value is a lower bound
+        within gap of any exact evaluation."""
         g = erdos_renyi(30, 0.25, rng)  # one big component, > threshold
         approx, approx_gap = _component_sum(
             g,
@@ -171,17 +171,17 @@ class TestApproximateRegime:
             assert approx <= exact + 1e-6
             assert approx + approx_gap >= exact - 1e-6
 
-    def test_snapping_agrees_with_high_effort(self, rng):
-        """The snapped total lies in the window that unsnapped column
-        generation certifies."""
+    def test_solve_lies_in_the_column_generation_window(self, rng):
+        """The cutting plane's total lies in the window that column
+        generation alone certifies."""
         g = erdos_renyi(26, 0.3, rng)
-        snapped, _ = _component_sum(
+        solved, _ = _component_sum(
             g, lambda n, u, v: forest_core.solve_component(n, u, v, 2)
         )
-        unsnapped, unsnapped_gap = _component_sum(
+        lower, gap = _component_sum(
             g,
             lambda n, u, v: forest_core.column_generation_component(
                 n, u, v, 2
             ),
         )
-        assert unsnapped - 1e-6 <= snapped <= unsnapped + unsnapped_gap + 1e-6
+        assert lower - 1e-6 <= solved <= lower + gap + 1e-6

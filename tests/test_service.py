@@ -44,7 +44,7 @@ def compact():
 
 def _giant_component_graph(n: int = 50, m: int = 75) -> CompactGraph:
     """Uniform G(n, m) with mean degree 3: one giant component whose
-    values come from the LP's certified sandwich."""
+    values come from the cutting-plane LP."""
     rng = np.random.default_rng([1, 1])
     u, v = np.triu_indices(n, 1)
     pick = np.sort(rng.choice(u.size, size=m, replace=False))
