@@ -75,8 +75,9 @@ from .graphs import (
 # certificate of repro.lp.forest_core; 1.5.0: spanning-tree certificates
 # settle f_Δ = n − 1 before the LP, and f_1 is a double-cover matching;
 # 1.6.0: the cutting plane runs to its certificate, with no stall exit,
-# half-integral snap or seed-master certificate).
-__version__ = "1.6.0"
+# half-integral snap or seed-master certificate; 1.7.0: a Hamiltonian
+# path settles f_2 = n − 1 before the LP).
+__version__ = "1.7.0"
 
 from .core import (
     extension_for,

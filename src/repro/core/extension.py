@@ -202,10 +202,12 @@ class _ComponentwiseExtension:
         3.3(4)).
 
         1. A component that :func:`repro.kernels.excludes_capped_spanning_tree`
-           excludes by counting is skipped; neither step below runs.
-        2. :func:`repro.kernels.capped_spanning_tree` (greedy start,
-           Fürer–Raghavachari steps under a fixed budget) runs in an
-           ``extension.spanning_tree`` span.
+           excludes by counting (leaves and pendants; at cap 2 also
+           neighbours of degree ≤ 2) is skipped; neither step below runs.
+        2. :func:`repro.kernels.capped_spanning_tree` (greedy start, at
+           cap 2 a rotation–extension Hamiltonian-path search, then
+           Fürer–Raghavachari steps, each under a fixed budget) runs in
+           an ``extension.spanning_tree`` span.
         3. Only if the kernel declines does Algorithm 3 run, unchanged,
            in an ``extension.repair`` span; each such attempt is counted
            in ``repro_extension_repairs_total``.  It runs whenever no

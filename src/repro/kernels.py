@@ -4,9 +4,10 @@ The compact pipeline's innermost integer kernels — the connected-
 component union-find, the forest/acyclicity check, the Kruskal-style
 greedy forest selections used by column-generation pricing, and the
 spanning-tree certificates of the extension (a degree-capped spanning
-tree search and the counting test that rules one out), and the sorted
-array splice that edits a graph version's arrays in place of a rebuild
-— live here, on numpy and plain Python with no dependency beyond numpy.
+tree search, with a Hamiltonian-path search at cap 2, and the counting
+tests that rule one out), and the sorted array splice that edits a
+graph version's arrays in place of a rebuild — live here, on numpy and
+plain Python with no dependency beyond numpy.
 """
 
 from __future__ import annotations
@@ -204,6 +205,16 @@ improvement phases, each O((n + m)·α(n)).  A phase lowers the tree's
 excess degree by exactly one, so a start with a larger excess is
 declined without any phase."""
 
+_PATH_RESTARTS = 8
+"""Restarts of the cap-2 path search (:func:`_hamiltonian_path`)."""
+
+_PATH_WORK = 8
+"""Work budget of one restart of the path search, in units of n + m:
+a step (an extension or a rotation) starts only while the restart has
+spent less, counting each adjacency entry read and each path position
+moved.  A step costs at most n + m, so a declined search costs
+O(:data:`_PATH_RESTARTS`·:data:`_PATH_WORK`·(n + m))."""
+
 
 def excludes_capped_spanning_tree(
     n: int, u: np.ndarray, v: np.ndarray, cap: int
@@ -217,7 +228,17 @@ def excludes_capped_spanning_tree(
     vertices, no tree exists when ``L·(cap − 1) > (cap − 2)·n + 2``, or
     when some vertex has ``cap`` or more pendant neighbours and another
     neighbour besides (its tree degree is at least one more than its
-    pendant count).  O(n + m) array work; ``False`` proves nothing.
+    pendant count).
+
+    At cap 2 the tree is a Hamiltonian path, whose vertices other than
+    its two ends have path degree 2.  A degree-1 vertex is an end and
+    uses its only edge; a degree-2 vertex that is not an end uses both
+    of its edges, and a degree-2 end leaves out one, which relieves one
+    neighbour by one.  So with ``forced[w]`` the number of neighbours of
+    ``w`` of degree ≤ 2, the at most ``2 − L`` ends of degree 2 must
+    relieve ``Σ_w max(forced[w] − 2, 0)``, and no path exists when that
+    sum exceeds ``2 − L``.  O(n + m) array work; ``False`` proves
+    nothing.
     """
     if n < 3:
         return False
@@ -230,7 +251,15 @@ def excludes_capped_spanning_tree(
     pendants = np.bincount(
         np.concatenate([v[leaf[u]], u[leaf[v]]]), minlength=n
     )
-    return bool(np.any((pendants >= cap) & (degree > pendants)))
+    if np.any((pendants >= cap) & (degree > pendants)):
+        return True
+    if cap != 2:
+        return False
+    low = degree <= 2
+    forced = np.bincount(u[low[v]], minlength=n) + np.bincount(
+        v[low[u]], minlength=n
+    )
+    return int(np.maximum(forced - 2, 0).sum()) > 2 - leaves
 
 
 def capped_spanning_tree(
@@ -246,10 +275,15 @@ def capped_spanning_tree(
     phases (:func:`_improvement_phase`) then lower the excess degree
     ``Σ max(deg_T(w) − cap, 0)`` one per phase, within
     :data:`_TREE_PHASES` phases.  So a declined call costs
-    O(:data:`_TREE_PHASES`·(n + m)·α(n)).  ``None`` proves nothing: it
-    also answers a graph that has such a tree but defeats the start and
-    the local search, or that is not connected.  Every returned tree is
-    checked (n − 1 edges, acyclic, within the cap) before it leaves.
+    O(:data:`_TREE_PHASES`·(n + m)·α(n)).  At cap 2, where the tree is a
+    Hamiltonian path and the phases often stop one degree short, a
+    start that does not span first tries :func:`_hamiltonian_path`
+    (rotation–extension, within O(:data:`_PATH_RESTARTS`·
+    :data:`_PATH_WORK`·(n + m))), and the phases run only if it
+    declines.  ``None`` proves nothing: it also answers a graph that
+    has such a tree but defeats the start and the local search, or that
+    is not connected.  Every returned tree is checked (n − 1 edges,
+    acyclic, within the cap) before it leaves.
     """
     if n <= 1:
         return np.zeros(0, dtype=np.int64)
@@ -259,7 +293,10 @@ def capped_spanning_tree(
         n, u, v, order, np.full(n, cap, dtype=np.int64)
     )
     if len(chosen) < n - 1:
-        tree = _complete_and_improve(n, u.tolist(), v.tolist(), cap, order, chosen)
+        ends_u, ends_v = u.tolist(), v.tolist()
+        tree = _hamiltonian_path(n, ends_u, ends_v)[0] if cap == 2 else None
+        if tree is None:
+            tree = _complete_and_improve(n, ends_u, ends_v, cap, order, chosen)
         if tree is None:
             return None
         chosen = tree
@@ -274,6 +311,99 @@ def capped_spanning_tree(
     ):  # pragma: no cover - the phases keep a spanning tree
         raise RuntimeError("capped_spanning_tree built an invalid tree")
     return edges
+
+
+def _hamiltonian_path(
+    n: int, ends_u: list[int], ends_v: list[int]
+) -> tuple[list[int] | None, int]:
+    """Rotation–extension search for a Hamiltonian path (Pósa, Discrete
+    Math. 14, 1976; Angluin and Valiant, JCSS 18, 1979): its edge
+    indices in path order, or ``None``, and the work units spent.
+
+    Each restart grows a path from one end: a degree-1 vertex if G has
+    one (the two ends alternate by restart, and the other is entered
+    only as the last step), else a vertex of least degree.  The end
+    extends to the unvisited neighbour with the fewest unvisited
+    neighbours; ties go by vertex index in the first restart and by
+    fresh LCG priorities in the later ones.  A stuck end ``p_k``
+    rotates at a path neighbour ``p_i``: the path becomes
+    ``p_0 … p_i p_k p_(k−1) … p_(i+1)``.  A rotation whose new end can
+    extend is preferred; failing that, one whose new end was an end
+    least recently; the LCG picks among them.  :data:`_PATH_RESTARTS`
+    restarts of :data:`_PATH_WORK`·(n + m) work units each.
+    """
+    m = len(ends_u)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(ends_u, ends_v):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    degree = [len(nbrs) for nbrs in adjacency]
+    leaves = [w for w in range(n) if degree[w] == 1]
+    if len(leaves) > 2:
+        return None, 0
+    state = work = 0
+    rank = list(range(n))
+    for restart in range(_PATH_RESTARTS):
+        if restart:
+            for w in range(n):
+                state = _lcg(state)
+                rank[w] = state >> 33
+        pair = leaves[restart % 2 :] + leaves[: restart % 2]
+        start = pair[0] if pair else min(range(n), key=lambda w: (degree[w], rank[w]))
+        held = pair[1] if len(pair) == 2 else -1
+        target = adjacency[held][0] if held >= 0 else -1
+        goal = n - 1 if held >= 0 else n
+        visited, free = bytearray(n), degree[:]
+        for x in pair or [start]:
+            visited[x] = 1
+            for y in adjacency[x]:
+                free[y] -= 1
+        path, pos, last = [start], [-1] * n, [0] * n
+        pos[start] = 0
+        budget = work + _PATH_WORK * (n + m)
+        while work < budget:
+            k, end = len(path), path[-1]
+            if k == goal and (held < 0 or end == target):
+                index = {}
+                for j, (a, b) in enumerate(zip(ends_u, ends_v)):
+                    index[a, b] = index[b, a] = j
+                path += [held] if held >= 0 else []
+                return [index[a, b] for a, b in zip(path, path[1:])], work
+            nbrs = adjacency[end]
+            work += len(nbrs)
+            best = min(
+                (x for x in nbrs if not visited[x]),
+                key=lambda x: (free[x], rank[x]),
+                default=-1,
+            )
+            if best >= 0:
+                visited[best], pos[best] = 1, k
+                path.append(best)
+                for y in adjacency[best]:
+                    free[y] -= 1
+                work += degree[best]
+                continue
+            new_ends = [path[pos[x] + 1] for x in nbrs if 0 <= pos[x] < k - 2]
+            if not new_ends:
+                break
+            pool = [e for e in new_ends if free[e] or (k == goal and e == target)]
+            if not pool:
+                oldest = min(last[e] for e in new_ends)
+                pool = [e for e in new_ends if last[e] == oldest]
+            state = _lcg(state)
+            new_end = pool[(state >> 33) % len(pool)]
+            i = pos[new_end]
+            path[i:] = path[: i - 1 : -1]
+            for j in range(i, k):
+                pos[path[j]] = j
+            work += k - i
+            last[new_end] = work
+    return None, work
+
+
+def _lcg(state: int) -> int:
+    """One step of Knuth's 64-bit MMIX linear congruential generator."""
+    return (state * 6364136223846793005 + 1442695040888963407) % 2**64
 
 
 def _complete_and_improve(

@@ -67,9 +67,11 @@ The combined ``auto`` logic — fast tree DP, the Δ = 1 matching,
 exhaustive up to :data:`EXACT_THRESHOLD` vertices, the cutting plane
 above it — lives in :func:`solve_component`.  Its caller settles
 ``f_Δ = n − 1`` before the LP where it can: a spanning ⌊Δ⌋-tree from
-:func:`repro.kernels.capped_spanning_tree` or, where that declines,
-Algorithm-3 repair proves it in integers (Lemma 3.3(4)), so most
-components whose value is ``n − 1`` never reach this module.
+:func:`repro.kernels.capped_spanning_tree` (at Δ = 2 a Hamiltonian
+path) or, where that declines, Algorithm-3 repair proves it in
+integers (Lemma 3.3(4)), and counting tests skip both where no such
+tree exists, so most components whose value is ``n − 1`` never reach
+this module.
 
 Algorithm 1's sensitivity argument needs ``f_Δ`` itself, so no value
 is rounded to a nearby one.  The cutting plane's round budget (64,

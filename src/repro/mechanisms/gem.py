@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exponential import exponential_mechanism, exponential_mechanism_probabilities
+from .exponential import exponential_mechanism_probabilities
 
 __all__ = ["GEMResult", "power_of_two_grid", "generalized_exponential_mechanism"]
 
@@ -134,20 +134,22 @@ def generalized_exponential_mechanism(
         )
 
     k = len(grid) - 1  # matches ⌊log2 Δmax⌋ for the power-of-two grid
+    # math.log, not numpy's: a SIMD log may differ in the last bit.
     threshold = 2.0 * math.log(max(k, 1) / beta) / epsilon
 
-    shifted = [q + threshold * c for q, c in zip(q_values, grid)]
-    scores = [
-        max((shifted[i] - shifted[j]) / (grid[i] + grid[j]) for j in range(len(grid)))
-        for i in range(len(grid))
-    ]
+    sizes = np.array(grid)
+    shifted = np.array(q_values) + threshold * sizes
+    scores = (
+        (shifted[:, None] - shifted[None, :]) / (sizes[:, None] + sizes[None, :])
+    ).max(axis=1)
     probabilities = exponential_mechanism_probabilities(scores, 1.0, epsilon)
-    index = exponential_mechanism(scores, 1.0, epsilon, rng)
+    # The draw of exponential_mechanism, without recomputing the weights.
+    index = int(rng.choice(len(probabilities), p=probabilities))
     return GEMResult(
         selected=grid[index],
         candidates=tuple(grid),
         q_values=tuple(q_values),
-        scores=tuple(scores),
-        probabilities=tuple(float(p) for p in probabilities),
+        scores=tuple(scores.tolist()),
+        probabilities=tuple(probabilities.tolist()),
         threshold=threshold,
     )

@@ -9,7 +9,9 @@ Three contracts:
   ``capped_spanning_tree`` returns is a spanning tree of G within the
   cap (checked with networkx), and the counting test
   ``excludes_capped_spanning_tree`` never excludes a graph that has one
-  (checked by exhaustive search).
+  (checked by exhaustive search).  At cap 2 the kernel finds a
+  Hamiltonian path on every small graph that has one, and on pinned
+  planted communities where the LP had returned a float below n − 1.
 * the batched Algorithm-3 tree path in the extension engine — the
   vectorized tree DP matches the per-component reference, and with
   ``batched_certificates`` on (the default) every extension value is
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
+from repro.core import extension as extension_module
 from repro.core.extension import extension_for
 from repro.graphs.compact import CompactGraph, as_compact
 from repro.graphs.generators import barabasi_albert_compact, random_forest_compact
@@ -220,6 +223,65 @@ def test_improvement_phase_applies_a_freed_vertex_swap(monkeypatch):
     _assert_capped_spanning_tree(9, u, v, 3, np.array(tree, dtype=np.int64))
 
 
+@st.composite
+def _two_edge_components(draw):
+    """A connected component on at most 10 vertices with minimum degree
+    ≥ 2: each vertex below degree 2 gains edges to drawn non-neighbours."""
+    n, u, v = draw(connected_components(min_vertices=3, max_vertices=10))
+    edges = set(zip(u.tolist(), v.tolist()))
+    for w in range(n):
+        while sum(w in edge for edge in edges) < 2:
+            pairs = [(min(w, x), max(w, x)) for x in range(n) if x != w]
+            edges.add(draw(st.sampled_from([p for p in pairs if p not in edges])))
+    u, v = np.array(sorted(edges), dtype=np.int64).T
+    return n, u, v
+
+
+def _has_hamiltonian_path(n, u, v) -> bool:
+    """Held–Karp over vertex subsets: ``ends[mask]`` is the bit set of
+    vertices that end a path through exactly the vertices of ``mask``."""
+    neighbours = [0] * n
+    for a, b in zip(u.tolist(), v.tolist()):
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    ends = [0] * (1 << n)
+    for w in range(n):
+        ends[1 << w] = 1 << w
+    for mask in range(1, 1 << n):
+        for w in range(n):
+            if ends[mask] >> w & 1:
+                step = neighbours[w] & ~mask
+                while step:
+                    x = step & -step
+                    ends[mask | x] |= x
+                    step ^= x
+    return ends[-1] != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_edge_components())
+def test_cap_two_finds_every_hamiltonian_path_on_small_graphs(component):
+    """At cap 2 on connected graphs with n ≤ 10 and minimum degree ≥ 2,
+    where the leaf counting test is silent: the kernel returns a
+    verified Hamiltonian path exactly when one exists, and the
+    forced-edge counting test excludes none of those."""
+    n, u, v = component
+    exists = _has_hamiltonian_path(n, u, v)
+    edges = kernels.capped_spanning_tree(n, u, v, 2)
+    assert (edges is not None) == exists
+    if exists:
+        _assert_capped_spanning_tree(n, u, v, 2, edges)
+        assert not kernels.excludes_capped_spanning_tree(n, u, v, 2)
+
+
+def _windmill(blades: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``blades`` triangles sharing hub 0."""
+    a = 1 + 2 * np.arange(blades)
+    u = np.concatenate([np.zeros(2 * blades, dtype=np.int64), a])
+    v = np.concatenate([np.sort(np.concatenate([a, a + 1])), a + 1])
+    return 2 * blades + 1, u, v
+
+
 def test_counting_test_cases():
     star = (5, np.zeros(4, dtype=np.int64), np.arange(1, 5, dtype=np.int64))
     assert kernels.excludes_capped_spanning_tree(*star, 3)
@@ -232,6 +294,20 @@ def test_counting_test_cases():
     pendants = (5, np.array([0, 0, 0, 0, 2]), np.array([1, 2, 3, 4, 3]))
     assert kernels.excludes_capped_spanning_tree(*pendants, 2)
     assert not kernels.excludes_capped_spanning_tree(*pendants, 3)
+    # Cap 2: the hub of a three-blade windmill has 6 neighbours of degree
+    # 2, 4 more than its path degree, and two ends relieve at most 2.  A
+    # two-blade windmill (a bowtie), a cycle and a path have paths.
+    assert kernels.excludes_capped_spanning_tree(*_windmill(3), 2)
+    assert not kernels.excludes_capped_spanning_tree(*_windmill(3), 3)
+    assert not kernels.excludes_capped_spanning_tree(*_windmill(2), 2)
+    ring = np.arange(6)
+    cycle = (6, np.minimum(ring, (ring + 1) % 6), np.maximum(ring, (ring + 1) % 6))
+    path = (6, ring[:-1], ring[1:])
+    for graph in (_windmill(2), cycle, path):
+        assert not kernels.excludes_capped_spanning_tree(*graph, 2)
+        _assert_capped_spanning_tree(
+            *graph, 2, kernels.capped_spanning_tree(*graph, 2)
+        )
 
 
 def test_capped_spanning_tree_on_the_deterministic_corpus():
@@ -272,26 +348,130 @@ def test_capped_spanning_tree_on_barabasi_albert_needs_the_phases(monkeypatch):
 
 
 def test_capped_spanning_tree_declines_within_its_budget(monkeypatch):
-    """A windmill of 100 triangles sharing a hub has no spanning 2-tree
+    """A windmill of 100 triangles sharing a hub has no spanning 3-tree
     (every tree joins the hub to each blade), and the counting test
-    cannot tell: the start's excess (at least 98) exceeds the budget,
-    so the call declines before any phase."""
+    cannot tell at cap 3 (at cap 2 the forced-edge count can): the
+    start's excess (at least 97) exceeds the budget, so the call
+    declines before any phase."""
     blades = 100
-    a = 1 + 2 * np.arange(blades)
-    u = np.concatenate([np.zeros(2 * blades, dtype=np.int64), a])
-    v = np.concatenate([np.sort(np.concatenate([a, a + 1])), a + 1])
-    n = 2 * blades + 1
-    assert not kernels.excludes_capped_spanning_tree(n, u, v, 2)
+    n, u, v = _windmill(blades)
+    assert not kernels.excludes_capped_spanning_tree(n, u, v, 3)
+    assert kernels.excludes_capped_spanning_tree(n, u, v, 2)
     calls = []
     monkeypatch.setattr(
         kernels, "_improvement_phase", lambda *args: calls.append(args)
     )
-    assert kernels.capped_spanning_tree(n, u, v, 2) is None
+    assert kernels.capped_spanning_tree(n, u, v, 3) is None
     assert calls == []
-    assert kernels._TREE_PHASES < blades - 2
+    assert kernels._TREE_PHASES < blades - 3
     # With spare degree at the hub the same graph has a tree.
     edges = kernels.capped_spanning_tree(n, u, v, blades)
     _assert_capped_spanning_tree(n, u, v, blades, edges)
+
+
+# Planted 50-vertex communities of layerbench's contact-edits workload,
+# as component arrays, that a version miss re-solves at Δ = 2 (the
+# timed pass of ``ContactEdits(work, seed, 6)``).  Each has a
+# Hamiltonian path, and the LP had returned f_2 just below n − 1 = 49:
+# 48.99999999999999 (seed 1) and 48.999999999999986 (seed 2).
+CONTACT_COMMUNITIES = {
+    "seed 1, m 131": (
+        50,
+        np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2,
+                  2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5,
+                  5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 8, 8, 8, 8, 8,
+                  9, 9, 9, 10, 10, 10, 10, 10, 11, 11, 11, 11, 11, 12, 12,
+                  12, 13, 13, 13, 13, 13, 13, 14, 14, 14, 15, 16, 19, 20,
+                  20, 20, 21, 21, 21, 23, 23, 24, 24, 24, 24, 24, 25, 26,
+                  26, 26, 26, 26, 28, 28, 28, 30, 30, 30, 31, 31, 32, 32,
+                  32, 33, 33, 34, 34, 34, 36, 38, 38, 39, 39, 40, 40, 40,
+                  40, 41, 44]),
+        np.array([1, 2, 23, 26, 32, 33, 41, 48, 5, 8, 12, 18, 24, 30, 40,
+                  41, 3, 7, 8, 16, 47, 4, 6, 15, 20, 30, 34, 13, 15, 16, 21,
+                  26, 27, 31, 33, 34, 35, 11, 25, 27, 29, 9, 16, 22, 23, 30,
+                  32, 40, 45, 47, 10, 13, 17, 19, 36, 38, 41, 14, 36, 49,
+                  14, 24, 27, 42, 44, 12, 18, 20, 30, 40, 19, 20, 42, 19,
+                  20, 28, 29, 38, 41, 24, 37, 45, 18, 32, 42, 35, 36, 40,
+                  23, 25, 47, 42, 49, 34, 35, 37, 48, 49, 30, 29, 35, 36,
+                  43, 46, 31, 32, 39, 33, 38, 47, 41, 47, 38, 40, 43, 41,
+                  48, 37, 39, 40, 46, 41, 42, 41, 45, 41, 43, 44, 45, 45,
+                  47]),
+    ),
+    "seed 2, m 121": (
+        50,
+        np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 2,
+                  2, 2, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5,
+                  5, 5, 5, 6, 6, 6, 6, 8, 8, 8, 8, 9, 9, 9, 9, 10, 10, 10,
+                  11, 11, 11, 11, 11, 12, 12, 12, 13, 13, 13, 13, 14, 14,
+                  14, 14, 15, 15, 15, 16, 16, 16, 17, 17, 17, 17, 18, 18,
+                  18, 18, 18, 19, 19, 20, 20, 21, 22, 22, 22, 22, 23, 23,
+                  23, 23, 24, 24, 24, 25, 26, 28, 30, 31, 33, 37, 38, 38,
+                  39, 39, 39, 39, 40, 41, 42, 43, 44]),
+        np.array([1, 2, 3, 7, 13, 21, 24, 27, 44, 45, 6, 22, 25, 3, 4, 5,
+                  22, 26, 28, 36, 37, 5, 18, 29, 35, 38, 41, 43, 5, 9, 13,
+                  26, 33, 39, 40, 6, 8, 12, 28, 39, 45, 9, 10, 14, 15, 16,
+                  31, 36, 42, 11, 23, 34, 37, 20, 42, 47, 14, 17, 32, 40,
+                  49, 16, 32, 46, 15, 16, 31, 39, 19, 24, 27, 48, 18, 40,
+                  42, 19, 22, 49, 19, 33, 37, 43, 19, 21, 30, 32, 34, 21,
+                  31, 35, 38, 42, 26, 36, 38, 49, 25, 30, 41, 43, 39, 43,
+                  46, 43, 48, 30, 44, 49, 47, 49, 41, 48, 43, 45, 46, 48,
+                  48, 48, 45, 46, 48]),
+    ),
+}
+
+# A G(41, 64) component of layerbench's giant-lp seed 1 with f_2 = 38 <
+# n − 1, so it has no Hamiltonian path, yet neither counting test
+# excludes it.
+GIANT_LP_PATHLESS = (
+    41,
+    np.array([0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 6, 6,
+              6, 6, 7, 7, 7, 7, 9, 9, 9, 9, 9, 10, 10, 11, 12, 12, 13,
+              14, 15, 16, 16, 17, 18, 18, 19, 19, 19, 19, 20, 20, 20,
+              20, 21, 22, 24, 24, 25, 25, 28, 30, 30, 30, 31, 31, 35]),
+    np.array([3, 9, 34, 8, 10, 14, 15, 21, 5, 9, 10, 14, 13, 26, 29, 15,
+              23, 17, 22, 28, 32, 11, 13, 16, 33, 14, 22, 27, 30, 32,
+              32, 37, 22, 24, 35, 39, 35, 23, 32, 40, 36, 27, 33, 22,
+              24, 26, 39, 26, 29, 37, 38, 34, 39, 33, 36, 28, 38, 40,
+              33, 37, 39, 32, 35, 40]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(CONTACT_COMMUNITIES))
+def test_cap_two_path_settles_f2_without_the_lp(name, monkeypatch):
+    n, u, v = CONTACT_COMMUNITIES[name]
+    edges = kernels.capped_spanning_tree(n, u, v, 2)
+    assert edges is not None
+    _assert_capped_spanning_tree(n, u, v, 2, edges)
+    solves = []
+    solve = extension_module.solve_component
+    monkeypatch.setattr(
+        extension_module,
+        "solve_component",
+        lambda *args, **options: solves.append(args) or solve(*args, **options),
+    )
+    graph = CompactGraph.from_edge_arrays(n, u, v)
+    assert extension_for(graph).value(2) == 49.0
+    assert solves == []
+
+
+def test_cap_two_declines_a_pathless_component_within_its_budget(monkeypatch):
+    """The path search spends at most its restarts' work units (a step
+    starts under the budget and costs at most n + m), and the phases
+    stay within theirs."""
+    n, u, v = GIANT_LP_PATHLESS
+    assert not kernels.excludes_capped_spanning_tree(n, u, v, 2)
+    path, work = kernels._hamiltonian_path(n, u.tolist(), v.tolist())
+    assert path is None
+    assert work <= kernels._PATH_RESTARTS * (kernels._PATH_WORK + 1) * (n + u.size)
+    phases = []
+    improve = kernels._improvement_phase
+    monkeypatch.setattr(
+        kernels,
+        "_improvement_phase",
+        lambda *args: phases.append(improve(*args)) or phases[-1],
+    )
+    assert kernels.capped_spanning_tree(n, u, v, 2) is None
+    assert len(phases) <= kernels._TREE_PHASES
 
 
 def test_capped_spanning_tree_trivial_inputs():

@@ -278,6 +278,50 @@ class TestExponentialDistributionSanity:
             assert all(p >= 0 for p in result.probabilities)
 
 
+def _loop_gem_selection(grid, q_values, epsilon, beta, rng):
+    """GEM's scores, probabilities and draw as the pure-Python loop
+    computed them before the selection became one array expression."""
+    k = len(grid) - 1
+    threshold = 2.0 * math.log(max(k, 1) / beta) / epsilon
+    shifted = [q + threshold * c for q, c in zip(q_values, grid)]
+    scores = [
+        max((shifted[i] - shifted[j]) / (grid[i] + grid[j]) for j in range(len(grid)))
+        for i in range(len(grid))
+    ]
+    probabilities = exponential_mechanism_probabilities(scores, 1.0, epsilon)
+    index = exponential_mechanism(scores, 1.0, epsilon, rng)
+    return grid[index], tuple(scores), tuple(float(p) for p in probabilities)
+
+
+def test_gem_selection_equals_the_loop_bit_for_bit():
+    """On 300 random grids (power-of-two and arbitrary ascending),
+    q-vectors (some with ties), ε and β, the vectorized scores,
+    probabilities and draw equal the loop's exactly."""
+    draws = np.random.default_rng(2024)
+    for case in range(300):
+        size = int(draws.integers(2, 18))
+        grid = [float(2**j) for j in range(size)]
+        if case % 2:
+            grid = np.sort(draws.uniform(0.5, 64.0, size=size)).tolist()
+        q_values = draws.uniform(0.0, 50.0, size=len(grid))
+        if case % 3 == 0:
+            q_values = np.round(q_values / 5.0) * 5.0
+        q_values = q_values.tolist()
+        epsilon = float(draws.uniform(0.05, 4.0))
+        beta = float(draws.uniform(0.01, 0.99))
+        seed = int(draws.integers(2**31))
+        result = generalized_exponential_mechanism(
+            grid, dict(zip(grid, q_values)).__getitem__, epsilon, beta,
+            np.random.default_rng(seed),
+        )
+        selected, scores, probabilities = _loop_gem_selection(
+            grid, q_values, epsilon, beta, np.random.default_rng(seed)
+        )
+        assert result.scores == scores
+        assert result.probabilities == probabilities
+        assert result.selected == selected
+
+
 class TestAccountant:
     def test_spend_and_remaining(self):
         acct = PrivacyAccountant(1.0)
