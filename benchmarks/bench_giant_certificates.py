@@ -9,13 +9,16 @@ value must be ``f_sf``, settled by the certificate step (counting
 tests, spanning-tree kernel, Algorithm-3 repair where the kernel
 declines) instead of the LP.  The benchmark fails if any component LP
 result counted in ``repro_lp_certificates_total`` during an evaluation
-is not ``exact``, or if the separation oracle's float fallback
+is not ``exact``, if the separation oracle's float fallback
 (:meth:`repro.flow.maxflow.FlowNetwork.max_flow`, pure Python and
-orders of magnitude slower than the batched integer cut) runs.  It
-prints each evaluation's time, its Δ = 2 cutting-plane solves, the
+orders of magnitude slower than the batched integer cut) runs, or if
+any separation point it meets gives another list through the pinned
+cuts (``forest_core._pinned_forest_sets``) than the oracle returned.
+It prints each evaluation's time, its Δ = 2 cutting-plane solves, the
 Hamiltonian paths that settled f_2 = n − 1 before the LP, its
-separation calls and how many of them peeled an all-ones support
-component instead of running a flow, and has no time gate.
+separation calls, how many of them the half-integral path settled
+with no flow, and how many peeled an all-ones support component
+instead of running a flow, and has no time gate.
 """
 
 from __future__ import annotations
@@ -84,13 +87,17 @@ def _certificates() -> dict[str, float]:
 
 class _SeparationCounts:
     """While entered: Δ = 2 cutting-plane solves, cap-2 path
-    certificates, separation oracle calls, the calls that peeled at
-    least one support component, and float fallback cuts."""
+    certificates, separation oracle calls, the calls the half-integral
+    path settled, the calls that peeled at least one support component,
+    and float fallback cuts.  Every call's arguments and list are kept
+    for :meth:`pinned_mismatches`."""
 
     def __enter__(self):
-        self.calls = self.peeled = self.float_cuts = 0
+        self.calls = self.half_integral = self.peeled = self.float_cuts = 0
         self.planes_2 = self.paths = 0
+        self.points = []
         separate = forest_core.violated_forest_sets
+        half = forest_core._half_integral_sets
         peel = forest_core._peeled_sets
         max_flow = FlowNetwork.max_flow
         plane = forest_core.cutting_plane_component
@@ -111,7 +118,13 @@ class _SeparationCounts:
             result = separate(*args, **kwargs)
             self.calls += 1
             self.peeled += peels[0] > before
+            self.points.append((args, kwargs, result))
             return result
+
+        def counted_half(*args):
+            sets = half(*args)
+            self.half_integral += sets is not None
+            return sets
 
         def counted_peel(*args):
             peels[0] += 1
@@ -123,6 +136,7 @@ class _SeparationCounts:
 
         self._patches = [
             mock.patch.object(forest_core, "violated_forest_sets", counted_separation),
+            mock.patch.object(forest_core, "_half_integral_sets", counted_half),
             mock.patch.object(forest_core, "_peeled_sets", counted_peel),
             mock.patch.object(FlowNetwork, "max_flow", counted_max_flow),
             mock.patch.object(forest_core, "cutting_plane_component", counted_plane),
@@ -136,10 +150,18 @@ class _SeparationCounts:
         for patch in reversed(self._patches):
             patch.stop()
 
+    def pinned_mismatches(self) -> int:
+        """The kept points whose pinned-cut list differs from the
+        oracle's (run after exit, so nothing above counts them)."""
+        return sum(
+            forest_core._pinned_forest_sets(*args, **kwargs) != result
+            for args, kwargs, result in self.points
+        )
+
 
 def test_giant_component_grids_are_certified():
     reset_results("E18")
-    rows, uncertified, float_cuts = [], [], []
+    rows, uncertified, float_cuts, mismatched = [], [], [], []
     for family, n, graph in _graphs():
         grid = power_of_two_grid(n)
         forest_core.clear_solve_cache()
@@ -156,21 +178,25 @@ def test_giant_component_grids_are_certified():
         rows.append(
             [family, n, f"{seconds:.3f}", counts["exact"],
              sum(counts.values()) - counts["exact"], separation.planes_2,
-             separation.paths, separation.calls, separation.peeled,
-             separation.float_cuts, values[1], values[2], fsf]
+             separation.paths, separation.calls, separation.half_integral,
+             separation.peeled, separation.float_cuts, values[1], values[2], fsf]
         )
         if sum(counts.values()) != counts["exact"]:
             uncertified.append((family, n, counts))
         if separation.float_cuts:
             float_cuts.append((family, n, separation.float_cuts))
+        mismatches = separation.pinned_mismatches()
+        if mismatches:
+            mismatched.append((family, n, mismatches))
         assert values[2:].tolist() == [float(fsf)] * (len(grid) - 2), (family, n)
     emit_table(
         "E18",
         ["graph", "n", "grid s", "exact LPs", "other LPs", "Δ=2 planes",
-         "cap-2 paths", "separations", "peeled", "float cuts", "f_2", "f_4",
-         "f_sf"],
+         "cap-2 paths", "separations", "half-integral", "peeled", "float cuts",
+         "f_2", "f_4", "f_sf"],
         rows,
         "power-of-two grid evaluations, seed 0",
     )
     assert uncertified == [], uncertified
     assert float_cuts == [], float_cuts
+    assert mismatched == [], mismatched

@@ -34,13 +34,17 @@ Evaluators:
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting plane** with the Padberg–Wolsey min-cut separation
   oracle (:func:`violated_forest_sets`), run until the oracle finds its
-  LP point feasible: on a support component whose weights are all 1
-  each pinned min cut is read off by peeling to the 2-core, with no
-  network; every other pinned min cut of a round runs as one copy of an
-  integer network inside a single
+  LP point feasible.  On a half-integral point (every support weight ½
+  or 1, every load at most 2, most Δ = 2 points) the oracle reads each
+  pin's set off the 0- and 2-edge cuts of a 4-regular multigraph, with
+  cycle-space labels and no flow.  On any other point: on a support
+  component whose weights are all 1 each pinned min cut is read off by
+  peeling to the 2-core, with no network; every other pinned min cut
+  of a round runs as one copy of an integer network inside a single
   :func:`scipy.sparse.csgraph.maximum_flow` call, each cut re-checked in
   float, with the float :class:`~repro.flow.maxflow.FlowNetwork` as the
-  exact fallback for a pin the integer cut cannot certify;
+  exact fallback for a pin the integer cut cannot certify.  Both give
+  the same list;
 * stabilized **column generation** (Dantzig–Wolfe over explicit
   forests, Kruskal pricing with an array union-find), which runs only
   past the cutting plane's round budget and closes its window from
@@ -58,10 +62,14 @@ floats do not move.
 The column-generation master is solved cold, one :class:`_HighsModel`
 per solve, built from exactly the matrix, bounds and options
 ``linprog(method="highs")`` would pass, so its floats are ``linprog``'s.
+Both take their HiGHS object from a pool of idle ones, cleared between
+models, which solve to a fresh object's floats.
 The exhaustive LP calls :func:`scipy.optimize.linprog`.  The model
 class drives ``scipy.optimize._highspy._core._Highs``, a private scipy
-binding (tested with scipy 1.17.1): if it moves, importing this module
-fails.
+binding, and the half-integral separation path calls
+``scipy.sparse.csgraph._traversal._depth_first_directed``, the routine
+behind :func:`~scipy.sparse.csgraph.depth_first_order` (both tested
+with scipy 1.17.1): if either moves, importing this module fails.
 
 The combined ``auto`` logic — fast tree DP, the Δ = 1 matching,
 exhaustive up to :data:`EXACT_THRESHOLD` vertices, the cutting plane
@@ -94,6 +102,7 @@ older code are never served from them.
 
 from __future__ import annotations
 
+import threading
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -106,6 +115,7 @@ from scipy.sparse.csgraph import (
     maximum_bipartite_matching,
     maximum_flow,
 )
+from scipy.sparse.csgraph._traversal import _depth_first_directed
 
 from .. import kernels, telemetry
 
@@ -209,6 +219,12 @@ class _Columns(NamedTuple):
     data: np.ndarray
 
 
+_IDLE_HIGHS: list = []
+"""HiGHS objects no live :class:`_HighsModel` holds, set up with
+:data:`_HIGHS_OPTIONS`; guarded by :data:`_IDLE_HIGHS_LOCK`."""
+_IDLE_HIGHS_LOCK = threading.Lock()
+
+
 class _HighsModel:
     """One LP ``min cost·x`` s.t. ``row_lower ≤ A x ≤ row_upper``,
     ``lower ≤ x ≤ upper``, kept in one HiGHS object across solves.
@@ -223,6 +239,16 @@ class _HighsModel:
     ``(len(row_lower), len(cost))``.  :meth:`add_rows` keeps the last
     basis valid, so the next :meth:`solve` restarts the dual simplex
     from it (HiGHS skips presolve when it holds a basis).
+
+    Building a HiGHS object and solving its first LP cold cost more
+    than most of the LPs here, so objects are reused: a model takes an
+    idle one and clears it (``clearModel`` drops the model, basis and
+    solution and keeps the options), or builds one when none is idle.
+    Use the model as a context manager: a clean exit gives the object
+    back to the pool, an exception drops it.  No two live models share
+    an object, and the pool is locked, since the daemon solves from
+    executor threads.  A cleared object solves every LP to the same
+    floats as a fresh one (pinned by ``tests/test_forest_core.py``).
     """
 
     def __init__(self, cost, lower, upper, matrix, row_lower, row_upper):
@@ -238,10 +264,24 @@ class _HighsModel:
         lp.col_upper_ = upper
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
-        self._highs = _highs._Highs()
-        for option, value in _HIGHS_OPTIONS:
-            self._highs.setOptionValue(option, value)
-        self._check(self._highs.passModel(lp), "passModel")
+        with _IDLE_HIGHS_LOCK:
+            highs = _IDLE_HIGHS.pop() if _IDLE_HIGHS else None
+        if highs is None:
+            highs = _highs._Highs()
+            for option, value in _HIGHS_OPTIONS:
+                highs.setOptionValue(option, value)
+        else:
+            highs.clearModel()
+        self._highs = highs
+        self._check(highs.passModel(lp), "passModel")
+
+    def __enter__(self) -> "_HighsModel":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            with _IDLE_HIGHS_LOCK:
+                _IDLE_HIGHS.append(self._highs)
 
     def add_rows(
         self, indptr: np.ndarray, indices: np.ndarray, upper: np.ndarray
@@ -318,6 +358,12 @@ _CERTIFICATES = telemetry.counter(
     "repro_lp_certificates_total",
     "Component LP results (memo hits included), by certificate status",
     labels=("status",),
+)
+_SEPARATIONS = telemetry.counter(
+    "repro_lp_separation_total",
+    "Separation-oracle calls with a nonempty support, by the path that "
+    "served them (half-integral: no flow; pinned: one min cut per pin)",
+    labels=("path",),
 )
 _SOLVE_SECONDS = telemetry.histogram(
     "repro_lp_solve_seconds",
@@ -621,13 +667,17 @@ def matching_component_value(
     *Combinatorial Optimization*, 2003, ch. 30).  One Hopcroft–Karp
     call; the certificate ``x`` puts 1/2 on an edge per matched copy of
     it, so every vertex load is at most 1 and ``x`` sums to the value.
+    The cover's CSR is built in row order, each row's columns
+    ascending: the arrays a COO → CSR conversion gives, without it.
     """
     u, v = _as_edge_arrays(u, v)
     m = u.size
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     cover = sparse.csr_array(
-        (np.ones(2 * m), (rows, cols)), shape=(n, n)
+        (np.ones(2 * m), cols[np.lexsort((cols, rows))], indptr), shape=(n, n)
     )
     partner = maximum_bipartite_matching(cover, perm_type="column")
     matched = np.nonzero(partner >= 0)[0]
@@ -738,9 +788,57 @@ def violated_forest_sets(
     network (source → edge node ``e`` with capacity ``x(e)``, edge node →
     both endpoints with capacity ∞, vertex → sink with capacity 1, or 0
     for ``p``): the cut equals ``x(E)`` minus that maximum, and its
-    source side is the violated set.  One pinned min-cut per vertex of
-    each support component (edges with ``x > tolerance``), except in a
-    component that is a tree with ``x ≤ 1``, where no set is violated.
+    minimal source side is the minimal maximiser, unique because
+    ``x(E[S]) − |S|`` is supermodular.  The oracle returns, per vertex
+    of each support component (edges with ``x > tolerance``), that set
+    when its violation exceeds ``tolerance``; sets come in component
+    order (components by least vertex), pins ascending, first
+    occurrence kept, and the list stops at ``max_sets``.
+
+    Two paths compute that list; every call that reaches one is counted
+    in ``repro_lp_separation_total{path}``:
+
+    * ``half-integral`` (:func:`_half_integral_sets`), when every
+      support weight is exactly ``0.5`` or ``1.0`` and every load
+      ``d(w) = Σ_{e ∋ w} x(e)`` is at most 2.  Take ``2·x(e)`` copies of
+      each support edge and ``s(w) = 4 − 2·d(w)`` copies of an edge from
+      ``w`` to one extra node ``t``: every support vertex has degree 4 in
+      this multigraph ``M′``, so for ``S`` without ``t``
+      ``4·x(E[S]) = 4|S| − cut(S)``, that is
+      ``x(E[S]) − |S| + 1 = 1 − cut(S)/4``.  All degrees are even, so
+      every cut is even, and ``S`` is violated iff ``cut(S)`` is 0 or 2
+      (by 1 or ½; the path runs only at ``tolerance < ½``).  Pin ``p``'s
+      set is then the minimal ``S ∋ p`` of least cut apart from ``t``:
+      its support component when no vertex of it has slack (cut 0),
+      else the least side of a 2-edge cut of ``M′`` that holds ``p``
+      (cut 2), else none.  That is the same minimal maximiser, so the
+      list is the pinned cuts' list, with no flow.
+    * ``pinned`` (:func:`_pinned_forest_sets`): one pinned min cut per
+      support vertex, for every other point.
+    """
+    u, v = _as_edge_arrays(u, v)
+    x = np.asarray(x, dtype=np.float64)
+    if not (x > tolerance).any():
+        return []
+    sets = _half_integral_sets(n, u, v, x, tolerance, max_sets)
+    if sets is not None:
+        _SEPARATIONS.inc(path="half-integral")
+        return sets
+    _SEPARATIONS.inc(path="pinned")
+    return _pinned_forest_sets(n, u, v, x, tolerance, max_sets)
+
+
+def _pinned_forest_sets(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    tolerance: float = 1e-7,
+    max_sets: int = 256,
+) -> list[frozenset[int]]:
+    """:func:`violated_forest_sets` by one pinned min cut per vertex of
+    each support component, except in a component that is a tree with
+    ``x ≤ 1``, where no set is violated.
 
     A support component whose weights are all exactly ``1.0`` needs no
     network (:func:`_peeled_sets`): the minimal source side of each
@@ -770,8 +868,6 @@ def violated_forest_sets(
     so a component with more than ``tolerance·K`` edges of other weights
     (about 107 at ``1e-7`` and ``K = 2**30``) may certify no clean pin
     and send them all to the float cut.
-
-    Sets come in component order, pins ascending, first occurrence kept.
     """
     u, v = _as_edge_arrays(u, v)
     x = np.asarray(x, dtype=np.float64)
@@ -1047,6 +1143,372 @@ def _float_pinned_cut(
 
 
 # ----------------------------------------------------------------------
+# Half-integral points: small cuts of a 4-regular multigraph
+# ----------------------------------------------------------------------
+_LCG_INCREMENT = kernels._lcg(0)
+_LCG_MULTIPLIER = (kernels._lcg(1) - _LCG_INCREMENT) % 2**64
+
+
+def _lcg_labels(count: int) -> np.ndarray:
+    """The first ``count`` states after seed 1 of
+    :func:`repro.kernels._lcg`, shifted right by one bit to 63-bit
+    labels.  Built by doubling: the ``k``-step map is ``s ↦ a_k·s + c_k``
+    with ``a_2k = a_k²`` and ``c_2k = a_k·c_k + c_k`` (mod 2**64)."""
+    states = np.empty(max(count, 1), dtype=np.uint64)
+    states[0] = kernels._lcg(1)
+    filled, mul, inc = 1, _LCG_MULTIPLIER, _LCG_INCREMENT
+    while filled < count:
+        take = min(filled, count - filled)
+        states[filled : filled + take] = states[:take] * np.uint64(mul) + np.uint64(
+            inc
+        )
+        mul, inc = mul * mul % 2**64, (mul * inc + inc) % 2**64
+        filled += take
+    return states[:count] >> np.uint64(1)
+
+
+_CYCLE_LABELS = _lcg_labels(4096)
+"""The labels of the first 4096 non-tree edges; longer runs are built
+per call."""
+
+
+def _cycle_labels(count: int) -> np.ndarray:
+    """The labels of ``count`` non-tree edges, in edge order."""
+    if count <= _CYCLE_LABELS.size:
+        return _CYCLE_LABELS[:count]
+    return _lcg_labels(count)
+
+
+def _half_integral_sets(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    tolerance: float,
+    max_sets: int,
+) -> Optional[list[frozenset[int]]]:
+    """:func:`_pinned_forest_sets`' list on a half-integral point, with
+    no flow; ``None`` (decline) on any other point.
+
+    The multigraph ``M′`` and why its cuts give the pinned list are in
+    :func:`violated_forest_sets`.  Cut 0: a support component none of
+    whose vertices has slack is a component of ``M′`` apart from ``t``,
+    and it is every pin's set there.  Cut 2, on ``t``'s component of
+    ``M′`` (Pritchard and Thurimella, "Fast computation of small cuts
+    via cycle space sampling", ACM TALG 7(4), 2011):
+
+    * take a DFS tree from ``t``; give each non-tree edge a label from
+      :func:`_cycle_labels`, and each tree edge the XOR of the labels of
+      the non-tree edges whose cycle crosses it (the XOR, over the
+      tree edge's subtree, of each node's incident non-tree labels).  A
+      2-edge cut has two equal labels whatever the labels are, because
+      every cycle crosses it an even number of times;
+    * a class of ``r ≥ 2`` equal labels then splits ``M′`` into exactly
+      ``r`` pieces, unless two labels collided; so the path declines if
+      a class does not, or if a label is 0 (``M′`` has no bridge).  With
+      every class checked, the classes are exactly the sets of edges
+      that pairwise form 2-edge cuts;
+    * the cut-2 sets without ``t`` are closed under intersection
+      (submodularity, with every cut even and ``t`` reachable), each is
+      a run of pieces of one class, and pieces of two classes never
+      cross.  So pin ``p``'s minimal cut-2 set is its smallest piece that
+      is not ``t``'s, and a pin in ``t``'s piece of every class is clean.
+
+    Pieces are found on the atoms, the components of ``M′`` without the
+    class edges, one labelling per class (:func:`_smallest_pieces`).
+    Each returned set is re-checked in float, and a set that is not
+    violated declines the point.  Array work throughout: O(n + m) per
+    point, plus one labelling of the atom graph per class, in batches,
+    so memory stays linear in the point however many classes it has.
+    """
+    if not 0.0 <= tolerance < 0.5:
+        return None
+    support = x > tolerance
+    sx = x[support]
+    halves = sx == 0.5
+    if not (halves | (sx == 1.0)).all():
+        return None
+    su, sv = u[support], v[support]
+    present = np.zeros(n, dtype=bool)
+    present[su] = present[sv] = True
+    verts = np.flatnonzero(present)
+    local = np.cumsum(present) - 1
+    a = np.minimum(local[su], local[sv])
+    b = np.maximum(local[su], local[sv])
+    nv = verts.size
+    # M′: node nv is t, and every edge goes from a lower to a higher node.
+    copies = 2 - halves
+    tail, head = np.repeat(a, copies), np.repeat(b, copies)
+    slack = 4 - np.bincount(tail, minlength=nv) - np.bincount(head, minlength=nv)
+    if slack.min() < 0:
+        return None
+    tail = np.concatenate([tail, np.repeat(np.arange(nv), slack)])
+    head = np.concatenate([head, np.full(tail.size - head.size, nv)])
+    order, parent = _dfs_order(nv + 1, tail, head)
+    pos = np.empty(nv + 2, dtype=np.int64)
+    pos[order] = np.arange(nv + 2)
+    last = np.arange(nv + 2)  # last descendant, by preorder position
+    np.maximum.at(last, pos[parent[order[1:]]], np.arange(1, nv + 2))
+    for _ in range((nv + 2).bit_length()):
+        last = last[last]
+    # Preorder: the root, t, t's component of M′ (the support components
+    # with slack, one subtree of t each), then the closed components.
+    closed = pos[:nv] > last[1]
+    label = _cut_labels(tail, head, order, parent, pos, last)
+    if label is None:
+        return None
+    live = np.flatnonzero(label)
+    by_label = live[np.argsort(label[live], kind="stable")]
+    repeat = label[by_label[1:]] == label[by_label[:-1]]
+    if repeat.any():
+        pieces = _smallest_pieces(nv + 1, tail, head, label, by_label, repeat)
+        if pieces is None:
+            return None
+        smallest, atoms = pieces
+    elif not closed.any():
+        return []
+    else:
+        smallest = np.full(nv + 1, -1, dtype=np.int64)
+    # Support components: the subtrees of t and of the root, each
+    # labelled by its least vertex.
+    top = parent[order[2:]] >= nv
+    least = np.minimum.reduceat(order[2:], np.flatnonzero(top))
+    component = np.empty(nv, dtype=np.int64)
+    component[order[2:]] = least[np.cumsum(top) - 1]
+    # Each vertex's key: its support component's least vertex (cut 0),
+    # nv plus its smallest piece c·A + l (cut 2), or -1 (clean).
+    key = np.where(smallest[:nv] < 0, -1, nv + smallest[:nv])
+    key[closed] = component[closed]
+    keys = key[np.argsort(component, kind="stable")]
+    distinct, first = np.unique(keys[keys >= 0], return_index=True)
+    chosen = distinct[np.argsort(first)][:max_sets]
+    # Sets are built a few rows at a time, so memory stays linear in nv.
+    sets = []
+    rows = max(1, _PIECE_COPIES // nv)
+    for lo in range(0, chosen.size, rows):
+        part = chosen[lo : lo + rows]
+        member = np.empty((part.size, nv), dtype=bool)
+        in_piece = part >= nv
+        member[~in_piece] = component == part[~in_piece][:, None]
+        if in_piece.any():
+            cls, piece = np.divmod(part[in_piece] - nv, atoms.count)
+            member[in_piece] = (
+                atoms.pieces(cls)[:, atoms.atom[:nv]] == piece[:, None]
+            )
+        violation = (member[:, a] & member[:, b]) @ sx - member.sum(axis=1) + 1
+        if not (violation > tolerance).all():
+            return None
+        sets += [frozenset(verts[row].tolist()) for row in member]
+    return sets
+
+
+def _dfs_order(nodes: int, tail: np.ndarray, head: np.ndarray):
+    """DFS preorder and tree parents over the multigraph with edges
+    ``tail[i]``–``head[i]`` on ``nodes ≥ 2`` nodes, from an extra root
+    ``nodes`` with arcs to ``t = nodes − 1`` first and then to every
+    other node, so each component is one subtree of the root (``t``'s
+    first).
+
+    This is the traversal :func:`scipy.sparse.csgraph.depth_first_order`
+    runs, handed CSR arrays directly: building and validating a sparse
+    matrix costs several times the traversal on graphs of this size.
+    That routine rescans a node's arcs from the first each time the
+    search comes back to it, which is quadratic at the root and at
+    ``t`` when they have many subtrees.  So ``t`` is marked visited up
+    front, and the arcs of ``t`` and then of the root become a chain of
+    links, each with an arc to the node they would enter next and one
+    to the next link.  The search then enters the vertices in the same
+    order as from the root, and each vertex entered from a link gets
+    ``t`` or the root as its parent (pinned equal to
+    ``depth_first_order`` in ``tests/test_separation.py``)."""
+    t = nodes - 1
+    ends = np.concatenate([tail, head])
+    arcs = np.argsort(ends, kind="stable")
+    from_t = tail[head == t]
+    entered = np.concatenate([from_t, np.arange(t)])
+    links = entered.size
+    size = nodes + links  # the vertices, t, then the links
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends, minlength=nodes), out=indptr[1 : nodes + 1])
+    indptr[nodes + 1 :] = indptr[nodes] + np.minimum(
+        np.arange(2, 2 * links + 1, 2), 2 * links - 1
+    )
+    chain = np.empty(2 * links - 1, dtype=np.int64)
+    chain[0::2] = entered
+    chain[1::2] = np.arange(nodes + 1, size)
+    indices = np.concatenate([np.concatenate([head, tail])[arcs], chain])
+    visited = np.empty(size, dtype=np.int32)
+    via = np.full(size, -9999, dtype=np.int32)
+    flag = np.zeros(size, dtype=np.int32)
+    flag[t] = 1
+    count = _depth_first_directed(
+        nodes,
+        indices.astype(np.int32),
+        indptr,
+        visited,
+        via,
+        np.empty(size, dtype=np.int32),
+        flag,
+    )
+    vertices = visited[:count]
+    vertices = vertices[vertices < t].astype(np.int64)
+    up = via[vertices].astype(np.int64)
+    link = up >= nodes
+    up[link] = np.where(up[link] - nodes < from_t.size, t, nodes)
+    parent = np.full(nodes + 1, -9999, dtype=np.int64)
+    parent[t] = nodes
+    parent[vertices] = up
+    return np.concatenate([[nodes, t], vertices]), parent
+
+
+def _cut_labels(
+    tail: np.ndarray,
+    head: np.ndarray,
+    order: np.ndarray,
+    parent: np.ndarray,
+    pos: np.ndarray,
+    last: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Cycle-space labels of the edges of ``t``'s component (0 on the
+    others), or ``None`` if one of them is 0.  ``t`` is ``order[1]``,
+    and its component takes preorder positions 1 to ``last[1]``.
+
+    The tree edge into each node is the first copy of its pair; the
+    other edges get :func:`_cycle_labels` in edge order.  A subtree is a
+    run of the preorder, ``[i, last[i]]``, so the label of the tree edge
+    into position ``i`` is ``prefix[last[i] + 1] ^ prefix[i]`` over the
+    prefix XORs of each node's incident non-tree labels."""
+    nodes = int(last[1]) + 1  # positions of t's component, past the root
+    key = tail * pos.size + head
+    by_key = np.argsort(key, kind="stable")
+    kids = order[2:nodes]
+    up = parent[kids]
+    tree = by_key[
+        np.searchsorted(
+            key[by_key], np.minimum(up, kids) * pos.size + np.maximum(up, kids)
+        )
+    ]
+    live = pos[tail] < nodes
+    live[tree] = False
+    cross = np.flatnonzero(live)
+    label = np.zeros(tail.size, dtype=np.uint64)
+    label[cross] = _cycle_labels(cross.size)
+    incident = np.zeros(pos.size, dtype=np.uint64)
+    np.bitwise_xor.at(incident, tail[cross], label[cross])
+    np.bitwise_xor.at(incident, head[cross], label[cross])
+    prefix = np.zeros(nodes + 1, dtype=np.uint64)
+    np.bitwise_xor.accumulate(incident[order[:nodes]], out=prefix[1:])
+    label[tree] = prefix[last[2:nodes] + 1] ^ prefix[2:nodes]
+    live[tree] = True
+    if not label[live].all():
+        return None
+    return label
+
+
+_PIECE_COPIES = 2**16
+"""Atom-graph edges per labelling of :meth:`_Atoms.pieces`, and entries
+per batch of :func:`_half_integral_sets`' sets: the work is split into
+batches of about that size."""
+
+
+class _Atoms(NamedTuple):
+    """The atoms of ``t``'s component of ``M′`` (its components without
+    the class edges): each node's atom, and the class edges between
+    atoms with their classes."""
+
+    atom: np.ndarray
+    count: int
+    ends_a: np.ndarray
+    ends_b: np.ndarray
+    cls: np.ndarray
+
+    @property
+    def step(self) -> int:
+        """Classes per labelling: about :data:`_PIECE_COPIES` atom-graph
+        edges."""
+        return max(1, _PIECE_COPIES // self.cls.size)
+
+    def pieces(self, classes: np.ndarray) -> np.ndarray:
+        """Each atom's piece in each of ``classes``: the components of
+        the atom graph without that class's edges, labelled
+        :attr:`step` classes at a time as disjoint copies of the atom
+        graph."""
+        labels = []
+        for lo in range(0, classes.size, self.step):
+            batch = classes[lo : lo + self.step, None]
+            offset = np.arange(batch.size)[:, None] * self.count
+            other = self.cls != batch
+            labels.append(
+                kernels.connected_component_labels(
+                    batch.size * self.count,
+                    (self.ends_a + offset)[other],
+                    (self.ends_b + offset)[other],
+                ).reshape(-1, self.count)
+                - offset
+            )
+        return np.concatenate(labels)
+
+
+def _smallest_pieces(
+    nodes: int,
+    tail: np.ndarray,
+    head: np.ndarray,
+    label: np.ndarray,
+    by_label: np.ndarray,
+    repeat: np.ndarray,
+) -> Optional[tuple[np.ndarray, _Atoms]]:
+    """Per node of ``M′``, the key ``c·A + l`` of its smallest piece that
+    is not ``t``'s (``-1`` if none), and the atoms whose
+    :meth:`_Atoms.pieces` give a class's pieces.  ``None`` when a class
+    of ``r`` equal labels does not split ``t``'s component into ``r``
+    pieces.
+
+    ``t`` is node ``nodes − 1``; edges with label 0 lie outside its
+    component; ``by_label`` lists the others by label, and ``repeat``
+    marks each that repeats its predecessor's label.  The classes are
+    labelled a batch at a time, keeping only each atom's smallest piece
+    so far, so memory stays linear in the atoms however many classes
+    there are."""
+    run = np.cumsum(np.append(True, ~repeat)) - 1
+    size_of_run = np.bincount(run)
+    in_class = size_of_run[run] >= 2
+    edges = by_label[in_class]
+    cls = np.cumsum(np.append(True, ~repeat)[in_class]) - 1
+    sizes = size_of_run[size_of_run >= 2]
+    keep = label > 0
+    keep[edges] = False
+    atom = np.unique(
+        kernels.connected_component_labels(nodes, tail[keep], head[keep]),
+        return_inverse=True,
+    )[1]
+    count = int(atom.max()) + 1
+    atoms = _Atoms(atom, count, atom[tail[edges]], atom[head[edges]], cls)
+    reached = np.zeros(count, dtype=bool)
+    reached[atom[tail[by_label]]] = reached[atom[head[by_label]]] = True
+    weight = np.bincount(atom[:-1], minlength=count)
+    everything = np.arange(count)
+    best = np.full(count, nodes)
+    smallest = np.full(count, -1)
+    for lo in range(0, sizes.size, atoms.step):
+        classes = np.arange(lo, min(lo + atoms.step, sizes.size))
+        piece = atoms.pieces(classes)
+        roots = (piece == everything) & reached
+        if (roots.sum(axis=1) != sizes[classes]).any():
+            return None
+        flat = piece + (classes - lo)[:, None] * count
+        size = np.bincount(flat.ravel(), np.tile(weight, classes.size), flat.size)[
+            flat
+        ]
+        size[(piece == piece[:, [atom[-1]]]) | ~reached] = nodes
+        row = size.argmin(axis=0)
+        low = size[row, everything]
+        better = low < best
+        best[better] = low[better]
+        smallest[better] = ((lo + row) * count + piece[row, everything])[better]
+    return smallest[atom], atoms
+
+
+# ----------------------------------------------------------------------
 # Cutting-plane loop
 # ----------------------------------------------------------------------
 def cutting_plane_component(
@@ -1070,35 +1532,34 @@ def cutting_plane_component(
     m = u.size
     target = float(n - 1)
     whole = frozenset(range(n))
-    model = _HighsModel(
+    in_model = {whole}
+    total_added = 0
+    lp_value = target
+    with _HighsModel(
         -np.ones(m),
         np.zeros(m),
         np.ones(m),
         _plane_columns(n, u, v),
         np.full(n + 1, -np.inf),
         np.append(np.full(n, float(delta)), target),
-    )
-
-    in_model = {whole}
-    total_added = 0
-    lp_value = target
-    for round_number in range(1, max_rounds + 1):
-        solution = model.solve()
-        lp_value = -float(solution.fun)
-        x = np.maximum(solution.x, 0.0)
-        with telemetry.span("lp.separation"):
-            violated = violated_forest_sets(
-                n, u, v, x, tolerance=separation_tolerance
-            )
-        new_sets = [s for s in violated if s not in in_model]
-        if not new_sets:
-            value = min(max(lp_value, 0.0), target)
-            return CoreLPResult(
-                value, x, round_number, total_added, 0.0, "exact"
-            )
-        in_model.update(new_sets)
-        model.add_rows(*_forest_rows(new_sets, u, v, n))
-        total_added += len(new_sets)
+    ) as model:
+        for round_number in range(1, max_rounds + 1):
+            solution = model.solve()
+            lp_value = -float(solution.fun)
+            x = np.maximum(solution.x, 0.0)
+            with telemetry.span("lp.separation"):
+                violated = violated_forest_sets(
+                    n, u, v, x, tolerance=separation_tolerance
+                )
+            new_sets = [s for s in violated if s not in in_model]
+            if not new_sets:
+                value = min(max(lp_value, 0.0), target)
+                return CoreLPResult(
+                    value, x, round_number, total_added, 0.0, "exact"
+                )
+            in_model.update(new_sets)
+            model.add_rows(*_forest_rows(new_sets, u, v, n))
+            total_added += len(new_sets)
     return CoreLPResult(
         0.0, np.zeros(m), max_rounds, total_added,
         min(lp_value, target), "outer-bound",
@@ -1338,12 +1799,12 @@ def _solve_master(
         a_ub = sparse.csr_matrix((n, k))
     # The matrix, bounds and row ranges ``linprog(c, A_ub=a_ub,
     # b_ub=Δ, A_eq=1, b_eq=1, bounds=(0, None))`` hands HiGHS, solved cold.
-    model = _HighsModel(
+    with _HighsModel(
         c,
         np.zeros(k),
         np.full(k, np.inf),
         sparse.csc_array(sparse.vstack([a_ub, np.ones((1, k))])),
         np.append(np.full(n, -np.inf), 1.0),
         np.append(np.full(n, float(delta)), 1.0),
-    )
-    return model.solve()
+    ) as model:
+        return model.solve()

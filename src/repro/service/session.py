@@ -221,11 +221,12 @@ class ReleaseSession:
         )
         # Component keys already in the memo/disk layer (skip re-store;
         # a memo-only key leaves when the memo evicts it), and per
-        # resident graph the grid keys whose components were already
-        # exported (skip re-export on every hot query; dropped with the
-        # graph on LRU eviction).
+        # resident graph the grids whose components were already
+        # exported, each with its graph key (skip re-export, and the
+        # key's hash, on every hot query; dropped with the graph on LRU
+        # eviction).
         self._promoted_components: set[str] = set()
-        self._promoted_graphs: dict[str, set[str]] = {}
+        self._promoted_graphs: dict[str, dict[tuple, str]] = {}
         # The latest edit batch the edit-stream server recorded.
         self._lineage: Optional[_Lineage] = None
         self.metrics = telemetry.MetricsRegistry(parent=telemetry.default_registry())
@@ -523,21 +524,18 @@ class ReleaseSession:
         Runs at the same moments as :meth:`_persist_entry` — after a
         shared-extension query, on LRU eviction, and from
         :meth:`persist_warm_extensions` — and is equally idempotent:
-        each (graph, grid) exports once while the graph is resident, and
-        each component key stores once (again after the memo evicted a
-        table no disk cache holds).  Returns the number of tables
-        promoted.
+        each (graph, grid) exports once while the graph is resident (the
+        first export records the grid with its :func:`extension_key`, so
+        a repeat finds it without hashing), and each component key
+        stores once (again after the memo evicted a table no disk cache
+        holds).  Returns the number of tables promoted.
         """
         if not self._component_promotion or entry.extension is None:
             return 0
         if grid is None:
             grid = self._default_grid(entry.graph)
-        graph_key = extension_key(
-            fingerprint,
-            grid,
-            self.cache.version if self.cache is not None else __version__,
-        )
-        if graph_key in self._promoted_graphs.get(fingerprint, ()):
+        exported = self._promoted_graphs.setdefault(fingerprint, {})
+        if tuple(grid) in exported:
             return 0
         promoted = 0
         for fp, table in entry.extension.export_component_tables():
@@ -552,7 +550,11 @@ class ReleaseSession:
             self._promoted_components.add(key)
             self._component_promotions.inc()
             promoted += 1
-        self._promoted_graphs.setdefault(fingerprint, set()).add(graph_key)
+        exported[tuple(grid)] = extension_key(
+            fingerprint,
+            grid,
+            self.cache.version if self.cache is not None else __version__,
+        )
         return promoted
 
     def _warm_from_disk(self, extension, fingerprint: str, grid) -> bool:

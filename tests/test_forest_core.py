@@ -1,5 +1,7 @@
 """Tests for the int-native forest-LP core."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -530,6 +532,71 @@ class TestHighsModel:
         degree = np.bincount(u, result.x, count) + np.bincount(v, result.x, count)
         assert degree.max() <= delta + 1e-9
         assert forest_core.violated_forest_sets(count, u, v, result.x) == []
+
+    @staticmethod
+    def _plane_results(corpus):
+        return [
+            (result.value.hex(), result.lp_rounds, result.x.tobytes())
+            for count, u, v in corpus
+            for delta in (2, 3)
+            for result in [
+                forest_core.cutting_plane_component(count, u, v, delta, 1e-7, 64)
+            ]
+        ]
+
+    def test_pooled_objects_solve_as_fresh_ones(self, monkeypatch):
+        """A HiGHS object reused from the pool gives a fresh object's
+        floats: the same value (``float.hex``), rounds and ``x``."""
+        corpus = _giant_component_corpus(seed=1, count=20)
+        self._plane_results(corpus[:2])  # leave used objects in the pool
+        assert forest_core._IDLE_HIGHS
+        pooled = self._plane_results(corpus)
+
+        class KeepsNothing(list):
+            def append(self, highs):
+                pass
+
+        monkeypatch.setattr(forest_core, "_IDLE_HIGHS", KeepsNothing())
+        assert self._plane_results(corpus) == pooled
+
+    def test_live_models_never_share_an_object(self):
+        lp = (
+            np.array([-1.0]),
+            np.zeros(1),
+            np.ones(1),
+            sparse.csc_array(np.ones((1, 1))),
+            np.array([-np.inf]),
+            np.array([1.0]),
+        )
+        with forest_core._HighsModel(*lp) as first, forest_core._HighsModel(
+            *lp
+        ) as second:
+            assert first._highs is not second._highs
+            assert first.solve().fun == second.solve().fun == -1.0
+        idle = [id(highs) for highs in forest_core._IDLE_HIGHS]
+        assert id(first._highs) in idle and id(second._highs) in idle
+        with forest_core._HighsModel(*lp) as again, forest_core._HighsModel(
+            *lp
+        ) as other:
+            assert again._highs is not other._highs
+            assert {id(again._highs), id(other._highs)} <= set(idle)
+        # A model whose block raises drops its object instead.
+        infeasible = lp[:4] + (np.array([2.0]), np.array([np.inf]))
+        with pytest.raises(forest_core.ForestLPError):
+            with forest_core._HighsModel(*infeasible) as failed:
+                failed.solve()
+        assert all(highs is not failed._highs for highs in forest_core._IDLE_HIGHS)
+
+    def test_threads_draw_distinct_objects(self):
+        """Cutting planes run from several threads at once (as the
+        daemon's executor does) give the serial results."""
+        corpus = _giant_component_corpus(seed=2, count=8)
+        serial = self._plane_results(corpus)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(
+                pool.map(lambda item: self._plane_results([item]), corpus)
+            )
+        assert [row for rows in results for row in rows] == serial
 
     @pytest.mark.parametrize(
         "cost, upper, row_lower, row_upper, status",

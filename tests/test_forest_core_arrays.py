@@ -160,9 +160,25 @@ class TestSameArrays:
 
     @pytest.mark.parametrize("delta", [2, 3])
     def test_cutting_plane_rows_and_flows_on_the_giant_corpus(self, delta):
-        with _Recorder() as recorder:
+        """Every forest row the plane appends, and every flow network of
+        the pinned cuts on the plane's LP points.  Most Δ = 2 points are
+        half-integral, so the oracle settles them with no flow; each
+        point is therefore also fed to the pinned cuts directly."""
+        points = []
+        separate = forest_core.violated_forest_sets
+
+        def record(n, u, v, x, **kwargs):
+            points.append((n, u, v, x, kwargs))
+            return separate(n, u, v, x, **kwargs)
+
+        with _Recorder() as recorder, mock.patch.object(
+            forest_core, "violated_forest_sets", record
+        ):
             for n, u, v in GIANT_CORPUS:
                 forest_core.cutting_plane_component(n, u, v, delta, 1e-7, 12)
+            for n, u, v, x, kwargs in points:
+                forest_core._pinned_forest_sets(n, u, v, x, **kwargs)
+        assert len(points) >= len(GIANT_CORPUS)
         assert recorder.rows >= 5
         assert recorder.networks == recorder.reaches >= 5
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import maximum_flow
+from scipy import sparse
+from scipy.sparse.csgraph import depth_first_order, maximum_flow
 
+from repro import telemetry
 from repro.flow.maxflow import INFINITY, FlowNetwork
 from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import (
@@ -491,3 +493,243 @@ class TestPeeling:
         with mock.patch.object(forest_core, "maximum_flow", _spy(maximum_flow, calls)):
             assert violated_forest_sets(n, u, v, x) == expected
         assert len(calls) == 1
+
+
+def _half_integral_point(graph, rng):
+    """Weights in {0, ½, 1} with every vertex load at most 2: edges in
+    random order take a random number of half-units, mostly 2, capped
+    by what their endpoints have left."""
+    n, u, v = graph_arrays(graph)
+    left = np.full(n, 4)
+    x = np.zeros(u.size)
+    for j in rng.permutation(u.size).tolist():
+        units = min(int(rng.choice([0, 1, 2, 2])), left[u[j]], left[v[j]])
+        x[j] = units / 2
+        left[u[j]] -= units
+        left[v[j]] -= units
+    return n, u, v, x
+
+
+def _edges(pairs):
+    pairs = sorted(pairs)
+    return (
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+    )
+
+
+def _block_chain(blocks):
+    """``blocks`` copies of K5 minus an edge, weights ½, each joined to
+    the next by a ½ edge between their two unsaturated vertices: every
+    block, and every run of blocks, is violated by ½ (a 2-edge cut)."""
+    pairs = []
+    for i in range(blocks):
+        base = 5 * i
+        pairs += [
+            (base + a, base + b)
+            for a in range(5)
+            for b in range(a + 1, 5)
+            if (a, b) != (0, 1)
+        ]
+        if i:
+            pairs.append((base - 4, base))
+    u, v = _edges(pairs)
+    return 5 * blocks, u, v, np.full(u.size, 0.5)
+
+
+def _nested_chain(blocks):
+    """``blocks`` copies of K4, weights ½, each joined to the next by two
+    ½ edges, the last with one edge of weight 1 so that only the first
+    block has slack: each junction is its own 2-edge cut, and each pin's
+    set is the run of blocks from its own to the last."""
+    pairs, x = [], []
+    for i in range(blocks):
+        base = 4 * i
+        for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            pairs.append((base + a, base + b))
+            x.append(1.0 if i == blocks - 1 and (a, b) == (2, 3) else 0.5)
+        if i + 1 < blocks:
+            pairs += [(base + 2, base + 4), (base + 3, base + 5)]
+            x += [0.5, 0.5]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    u, v = _edges(pairs)
+    return 4 * blocks, u, v, np.array(x)[order]
+
+
+def _union(*points):
+    """The disjoint union of ``(n, u, v, x)`` points, vertices shifted."""
+    n, us, vs, xs = 0, [], [], []
+    for count, u, v, x in points:
+        us.append(u + n)
+        vs.append(v + n)
+        xs.append(x)
+        n += count
+    return n, np.concatenate(us), np.concatenate(vs), np.concatenate(xs)
+
+
+def _weighted(graph, weights):
+    n, u, v = graph_arrays(graph)
+    return n, u, v, np.broadcast_to(np.asarray(weights, dtype=float), u.shape).copy()
+
+
+_TRIANGLE_HALF = (3, *_edges([(0, 1), (0, 2), (1, 2)]), np.array([1.0, 1.0, 0.5]))
+_C5_HALF = (5, *_edges([(i, (i + 1) % 5) for i in range(5)]), np.array([1, 1, 0.5, 1, 1.0]))
+
+HALF_INTEGRAL_POINTS = {
+    "saturated-cycles": _weighted(
+        disjoint_union([cycle_graph(3), cycle_graph(5)]), 1.0
+    ),
+    "half-k5": _weighted(complete_graph(5), 0.5),
+    "half-k4-clean": _weighted(complete_graph(4), 0.5),
+    "odd-cycles-with-a-half-edge": _union(_TRIANGLE_HALF, _C5_HALF),
+    "two-cut-chain": _block_chain(3),
+    "nested-two-cuts": _nested_chain(6),
+    "several-components": _union(
+        _block_chain(2),
+        _weighted(cycle_graph(4), 1.0),
+        _weighted(path_graph(4), 1.0),
+        _TRIANGLE_HALF,
+        _weighted(complete_graph(5), 0.5),
+    ),
+}
+
+DECLINED_POINTS = {
+    "load-above-two": _weighted(star_graph(3), 1.0),
+    "a-third": _weighted(complete_graph(3), 1 / 3),
+    "one-minus-an-ulp": (
+        5,
+        *_edges([(i, (i + 1) % 5) for i in range(5)]),
+        np.array([1.0, 1.0, 1 - 2**-52, 1.0, 1.0]),
+    ),
+}
+
+
+def _separations(path):
+    return telemetry.counter_value(
+        telemetry.snapshot(), "repro_lp_separation_total", path=path
+    )
+
+
+class TestHalfIntegralPath:
+    """On points whose support weights are ½ or 1 with every load at
+    most 2, :func:`forest_core._half_integral_sets` returns the pinned
+    cuts' list, and the reference's, with no flow; on any other point it
+    declines and the pinned cuts run."""
+
+    @given(
+        st.lists(small_graphs(min_vertices=2, max_vertices=8), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-7, 1e-9]),
+        st.sampled_from([1, 3, 256]),
+    )
+    @settings(max_examples=300)
+    def test_random_half_integral_points(self, parts, seed, tolerance, max_sets):
+        n, u, v, x = _half_integral_point(
+            disjoint_union(parts), np.random.default_rng(seed)
+        )
+        self._assert_same_list(n, u, v, x, tolerance, max_sets)
+
+    @pytest.mark.parametrize("max_sets", [1, 3, 256])
+    @pytest.mark.parametrize("name", sorted(HALF_INTEGRAL_POINTS))
+    def test_structured_points(self, name, max_sets):
+        n, u, v, x = HALF_INTEGRAL_POINTS[name]
+        expected = self._assert_same_list(n, u, v, x, 1e-7, max_sets)
+        if name != "half-k4-clean":
+            assert expected
+
+    def test_two_cut_chain_gives_each_pin_its_block(self):
+        n, u, v, x = _block_chain(3)
+        blocks = [frozenset(range(5 * i, 5 * i + 5)) for i in range(3)]
+        assert violated_forest_sets(n, u, v, x) == blocks
+
+    def test_nested_two_cuts_give_each_pin_its_tail_of_blocks(self):
+        n, u, v, x = _nested_chain(4)
+        tails = [frozenset(range(4 * i, 16)) for i in range(4)]
+        assert violated_forest_sets(n, u, v, x) == tails
+
+    @pytest.mark.parametrize("name", ["two-cut-chain", "nested-two-cuts", "several-components"])
+    def test_edge_orientation_does_not_matter(self, name):
+        n, u, v, x = HALF_INTEGRAL_POINTS[name]
+        expected = forest_core._half_integral_sets(n, u, v, x, 1e-7, 256)
+        assert expected
+        assert forest_core._half_integral_sets(n, v, u, x, 1e-7, 256) == expected
+
+    @pytest.mark.parametrize("max_sets", [1, 3, 256])
+    @pytest.mark.parametrize("name", ["two-cut-chain", "nested-two-cuts", "several-components"])
+    def test_small_batches_give_the_same_list(self, name, max_sets, monkeypatch):
+        """Classes labelled and sets built a few at a time, as on large
+        components, give the one-batch list."""
+        n, u, v, x = HALF_INTEGRAL_POINTS[name]
+        expected = forest_core._half_integral_sets(n, u, v, x, 1e-7, max_sets)
+        monkeypatch.setattr(forest_core, "_PIECE_COPIES", 4)
+        assert forest_core._half_integral_sets(n, u, v, x, 1e-7, max_sets) == expected
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_POINTS))
+    def test_other_points_are_declined(self, name):
+        n, u, v, x = DECLINED_POINTS[name]
+        assert forest_core._half_integral_sets(n, u, v, x, 1e-7, 256) is None
+        expected = reference_violated_forest_sets(n, u, v, x)
+        before = _separations("pinned")
+        assert violated_forest_sets(n, u, v, x) == expected
+        assert _separations("pinned") == before + 1
+
+    def test_tolerance_of_a_half_or_more_is_declined(self):
+        n, u, v, x = HALF_INTEGRAL_POINTS["half-k5"]
+        assert forest_core._half_integral_sets(n, u, v, x, 0.5, 256) is None
+
+    def test_counted_once_per_call_and_no_flow_runs(self):
+        n, u, v, x = HALF_INTEGRAL_POINTS["several-components"]
+        before = _separations("half-integral"), _separations("pinned")
+        calls = []
+        with mock.patch.object(
+            forest_core, "maximum_flow", _spy(maximum_flow, calls)
+        ), mock.patch.object(forest_core, "_peeled_sets", _raise):
+            assert violated_forest_sets(n, u, v, x)
+        assert calls == []
+        assert (_separations("half-integral"), _separations("pinned")) == (
+            before[0] + 1,
+            before[1],
+        )
+        assert violated_forest_sets(n, u, v, np.zeros(u.size)) == []
+        assert _separations("half-integral") == before[0] + 1
+
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_dfs_order_is_depth_first_order(self, nodes, seed):
+        """``_dfs_order`` runs scipy's DFS routine directly, with the
+        arcs of ``t`` and of the root as a chain of links: the same
+        preorder and parents as ``depth_first_order`` from a root with
+        those arcs."""
+        rng = np.random.default_rng(seed)
+        ends = rng.integers(0, nodes, (2, int(rng.integers(0, 3 * nodes + 1))))
+        tail, head = ends.min(axis=0), ends.max(axis=0)
+        tail, head = tail[tail < head], head[tail < head]
+        order, parent = forest_core._dfs_order(nodes, tail, head)
+        both = np.concatenate([tail, head])
+        arcs = np.argsort(both, kind="stable")
+        rows = np.append(both[arcs], np.full(nodes, nodes))
+        cols = np.concatenate(
+            [np.concatenate([head, tail])[arcs], [nodes - 1], np.arange(nodes - 1)]
+        )
+        indptr = np.searchsorted(rows, np.arange(nodes + 2))
+        graph = sparse.csr_array(
+            (np.ones(rows.size), cols.astype(np.int32), indptr.astype(np.int32)),
+            shape=(nodes + 1, nodes + 1),
+        )
+        expected_order, expected_parent = depth_first_order(
+            graph, nodes, directed=True
+        )
+        assert order.tolist() == expected_order.tolist()
+        assert parent.tolist() == expected_parent.tolist()
+
+    @staticmethod
+    def _assert_same_list(n, u, v, x, tolerance, max_sets):
+        expected = reference_violated_forest_sets(n, u, v, x, tolerance, max_sets)
+        assert forest_core._pinned_forest_sets(n, u, v, x, tolerance, max_sets) == (
+            expected
+        )
+        if (x > tolerance).any():
+            half = forest_core._half_integral_sets(n, u, v, x, tolerance, max_sets)
+            assert half == expected
+        assert violated_forest_sets(n, u, v, x, tolerance, max_sets) == expected
+        return expected
